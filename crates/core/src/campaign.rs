@@ -103,7 +103,7 @@ pub struct CampaignConfig {
     pub deadline: Option<std::time::Duration>,
     /// Write-ahead checkpoint journal path. When set, the sharded executor
     /// durably appends every completed shard and can resume from a crash
-    /// via `run_campaign_resumable` to a bit-identical report.
+    /// through a checkpointed `CampaignSession` to a bit-identical report.
     pub checkpoint: Option<std::path::PathBuf>,
 }
 
@@ -413,8 +413,8 @@ pub struct CampaignReport {
     /// budget: the report covers completed work only. Provenance — excluded
     /// from determinism comparisons.
     pub interrupted: bool,
-    /// Resume provenance when this report came from `run_campaign_resumable`
-    /// picking up a journal. Excluded from determinism comparisons.
+    /// Resume provenance when this report came from a run picking up a
+    /// journal. Excluded from determinism comparisons.
     pub resume: Option<ResumeInfo>,
 }
 

@@ -29,15 +29,16 @@ use std::sync::{Arc, Mutex};
 use comfort_engines::Testbed;
 use comfort_lm::Generator;
 use comfort_telemetry::{
-    EventKind, MemorySink, ProgressHandle, Recorder, Sink, SinkHandle, CONTROL_SHARD, MERGE_SHARD,
+    Event, EventKind, MemorySink, ProgressHandle, Recorder, SinkHandle, CONTROL_SHARD, MERGE_SHARD,
 };
 
 use crate::campaign::{testbeds_for, Campaign, CampaignConfig, CampaignReport};
 use crate::checkpoint::{
-    config_fingerprint, CampaignCheckpoint, CheckpointError, CheckpointJournal, RecoveryReport,
-    ResumeInfo, ShardRecord,
+    config_fingerprint, CampaignCheckpoint, CheckpointError, CheckpointJournal, LeaseRecord,
+    RecoveryReport, ResumeInfo, ShardRecord,
 };
 use crate::filter::BugTree;
+use crate::resilience::CancelToken;
 
 // The executor shares programs, testbeds, and the trained generator across
 // worker threads by reference; these assertions pin the Send/Sync audit of
@@ -205,7 +206,7 @@ impl ShardedCampaign {
     }
 
     /// The live progress handle for this executor. Poll it from another
-    /// thread while [`run`](Self::run) executes: completed-case counts are
+    /// thread while a run executes: completed-case counts are
     /// monotonically increasing, and per-shard snapshots carry throughput.
     pub fn progress(&self) -> ProgressHandle {
         self.progress.clone()
@@ -222,20 +223,9 @@ impl ShardedCampaign {
         plan_shards(&self.config)
     }
 
-    /// Runs the campaign with the configured thread count.
-    ///
-    /// Deprecated: build a [`CampaignSession`](crate::session::CampaignSession)
-    /// instead (`CampaignSession::new(config).run()`), the unified entry
-    /// point for fresh and resumable runs. This wrapper delegates to the
-    /// same machinery and is proven bit-identical to the session path by
-    /// test.
-    #[deprecated(note = "use CampaignSession::new(config).run() instead")]
-    pub fn run(&self) -> CampaignReport {
-        self.run_with_threads(resolve_threads(self.config.threads))
-    }
-
     /// Runs the campaign on exactly `threads` workers (`0` = available
     /// parallelism). The report is bit-identical for every `threads` value.
+    /// A configured checkpoint journal is started afresh.
     ///
     /// Telemetry keeps the same contract: each shard's event stream is
     /// buffered and flushed to the configured sink as soon as every earlier
@@ -244,48 +234,214 @@ impl ShardedCampaign {
     /// thread count — while shard 0's events still arrive as soon as shard 0
     /// finishes, not at the end of the whole run.
     pub fn run_with_threads(&self, threads: usize) -> CampaignReport {
-        self.run_internal(threads, None)
+        self.drive(threads, ShardLedger::fresh(&self.config, &self.progress))
     }
 
-    /// Runs the campaign with crash-safe resume: if the configured
-    /// checkpoint journal already exists on disk, its intact shard records
-    /// are salvaged and fed straight into the order-preserving merge, and
-    /// only the missing shards re-run — yielding a report **bit-identical**
-    /// to an uninterrupted run (in every deterministic field; see
+    /// Runs the campaign on exactly `threads` workers with crash-safe
+    /// resume: if the configured checkpoint journal already exists on disk,
+    /// its intact shard records are salvaged and fed straight into the
+    /// order-preserving merge, and only the missing shards re-run — yielding
+    /// a report **bit-identical** to an uninterrupted run (in every
+    /// deterministic field; see
     /// [`report_to_json_deterministic`](crate::checkpoint::report_to_json_deterministic)).
     ///
-    /// Fails if the config has no checkpoint path, the journal on disk was
-    /// written under a different config fingerprint, or its shard plan
-    /// disagrees with this config's plan.
-    ///
-    /// Deprecated: build a [`CampaignSession`](crate::session::CampaignSession)
-    /// instead (`CampaignSession::new(config).checkpoint(path).run()`). This
-    /// wrapper delegates to the same machinery and is proven bit-identical
-    /// to the session path by test.
-    #[deprecated(note = "use CampaignSession::new(config).checkpoint(path).run() instead")]
-    pub fn run_resumable(&self) -> Result<CampaignReport, CheckpointError> {
-        self.run_resumable_with_threads(self.config.threads)
-    }
-
-    /// [`run_resumable`](Self::run_resumable) on exactly `threads` workers.
+    /// Fails if the config has no checkpoint path, or the journal on disk
+    /// fails [`ShardLedger::open`]'s resumability check.
     pub fn run_resumable_with_threads(
         &self,
         threads: usize,
     ) -> Result<CampaignReport, CheckpointError> {
-        let path = self.config.checkpoint.clone().ok_or(CheckpointError::NoCheckpointPath)?;
-        if !path.exists() {
-            // Nothing to resume: run fresh (journaling as we go).
-            return Ok(self.run_internal(threads, None));
+        if self.config.checkpoint.is_none() {
+            return Err(CheckpointError::NoCheckpointPath);
         }
-        let (checkpoint, recovery) = CampaignCheckpoint::load(&path)?;
-        let expected = config_fingerprint(&self.config);
+        Ok(self.drive(threads, ShardLedger::open(&self.config, &self.progress)?))
+    }
+
+    /// The executor core: claims the ledger's pending shards onto workers,
+    /// stages, commits and flushes each completed shard, honours
+    /// cooperative shutdown, and lets the ledger merge in shard order.
+    fn drive(&self, threads: usize, ledger: ShardLedger) -> CampaignReport {
+        let threads = resolve_threads(threads);
+        let pending = ledger.pending();
+        // Shard-level workers; whatever parallelism is left over goes to the
+        // per-case testbed fan-out inside each shard.
+        let workers = threads.clamp(1, ledger.plan().len());
+        let per_shard_threads = (threads / workers).max(1);
+
+        // Arm the wall-clock deadline exactly once, at campaign start; the
+        // token is shared with every shard config clone, so shard-level
+        // re-arming is a no-op and per-case checks see the same instant.
+        if let Some(deadline) = self.config.deadline {
+            self.config.cancel.arm_deadline(std::time::Instant::now() + deadline);
+        }
+
+        let next = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| loop {
+                    // Cooperative shutdown at the shard boundary: claimed
+                    // shards drain at their next cancellation point; nothing
+                    // new is claimed.
+                    if self.config.cancel.is_cancelled() {
+                        break;
+                    }
+                    let Some(spec) = pending.get(next.fetch_add(1, Ordering::Relaxed)) else {
+                        break;
+                    };
+                    let attempt = MemorySink::new();
+                    let report = self.run_shard(spec, per_shard_threads, &attempt);
+                    if report.interrupted {
+                        // A partially-run shard is discarded whole: its
+                        // events would desync the replayed stream, and
+                        // resume re-runs the shard from scratch.
+                        break;
+                    }
+                    ledger.stage(spec.index, report);
+                    ledger.commit(spec.index, attempt.take(), Commit::Append);
+                    ledger.flush(spec.index);
+                });
+            }
+        });
+        ledger.finish()
+    }
+
+    /// Runs one shard as a plain serial campaign over its budget slice,
+    /// buffering its event stream in `buffer` for in-order flushing.
+    ///
+    /// Public so external supervisors (the `comfort-service` daemon, its
+    /// single-shot worker mode) can execute individual leased shards with
+    /// exactly the machinery the executor uses internally — same derived
+    /// seed, same buffered stream — and therefore merge to bit-identical
+    /// reports through a [`ShardLedger`].
+    pub fn run_shard(
+        &self,
+        spec: &ShardSpec,
+        exec_threads: usize,
+        buffer: &MemorySink,
+    ) -> CampaignReport {
+        let mut config = self.config.clone();
+        config.seed = spec.seed;
+        config.max_cases = spec.cases;
+        config.sink = SinkHandle::new(buffer.clone());
+        let mut campaign =
+            Campaign::with_shared(config, Arc::clone(&self.generator), self.testbeds.clone());
+        campaign.set_exec_threads(exec_threads);
+        campaign.set_shard(spec.index as u64);
+        campaign.set_progress(self.progress.clone());
+        campaign.run()
+    }
+}
+
+/// What [`ShardLedger::open`] salvaged from a journal already on disk.
+#[derive(Debug, Clone)]
+pub struct Salvage {
+    /// The journal the campaign resumes from.
+    pub path: PathBuf,
+    /// What recovery kept and dropped.
+    pub recovery: RecoveryReport,
+    /// Plan indices of the salvaged shard records, ascending.
+    pub shards: Vec<usize>,
+    /// The journal's last lease transition per shard, in shard order (empty
+    /// for journals written by unsupervised runs) — the lease state a
+    /// supervisor rebuilds after a restart.
+    pub leases: Vec<LeaseRecord>,
+}
+
+/// How [`ShardLedger::commit`] reaches the journal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Commit {
+    /// This process ran the shard: append its record.
+    Append,
+    /// A worker process already appended the record: adopt it as is.
+    Adopt,
+}
+
+/// The per-campaign shard bookkeeping every way of running a campaign
+/// shares: the executor drives it with in-memory claims, the
+/// `comfort-service` daemon with journalled leases.
+///
+/// It is the single owner of the journal-resumability rule and of the
+/// `stage → commit → flush → finish` order:
+///
+/// * [`open`](Self::open) resumes a journal on disk only when its config
+///   fingerprint, shard count and every record's `(seed, cases)` agree with
+///   the config's plan; salvaged shards are replayed into their result
+///   slots, event buffers, progress and the flush frontier exactly as if
+///   they had just run.
+/// * [`stage`](Self::stage) puts a shard's report in its slot.
+/// * [`commit`](Self::commit) journals the shard record (or adopts one a
+///   worker process wrote) and emits `CheckpointWritten`.
+/// * [`flush`](Self::flush) marks the shard done; shard `i`'s events reach
+///   the sink once shards `0..i` have flushed, so the sink observes logical
+///   `(shard, seq)` order whatever order shards complete in.
+/// * [`finish`](Self::finish) merges the flushed shards in shard order,
+///   flags an interrupted run, and attaches resume provenance.
+pub struct ShardLedger {
+    plan: Vec<ShardSpec>,
+    sink: SinkHandle,
+    cancel: CancelToken,
+    progress: ProgressHandle,
+    slots: Vec<Mutex<Slot>>,
+    frontier: Mutex<Frontier>,
+    /// The write-ahead journal. Journaling is best-effort: a read-only
+    /// filesystem degrades to an unjournaled run rather than failing it.
+    journal: Option<CheckpointJournal>,
+    /// Control-plane recorder: checkpoint/resume/interrupt events are
+    /// operational facts about *this* execution, stamped with the
+    /// CONTROL_SHARD pseudo-shard and excluded from determinism
+    /// comparisons (`Event::is_control`).
+    control: Mutex<Recorder>,
+    checkpoints_written: AtomicU64,
+    salvage: Option<Salvage>,
+}
+
+/// One shard's staged result and its buffered, not yet flushed events.
+#[derive(Default)]
+struct Slot {
+    report: Option<CampaignReport>,
+    events: Vec<Event>,
+}
+
+/// The ordered flush frontier: the next shard to flush and which shards
+/// are done.
+struct Frontier {
+    next: usize,
+    done: Vec<bool>,
+}
+
+impl ShardLedger {
+    /// A ledger for a fresh run of `config`, starting a new journal (over
+    /// any old one) when the config names a checkpoint path.
+    pub fn fresh(config: &CampaignConfig, progress: &ProgressHandle) -> ShardLedger {
+        let plan = plan_shards(config);
+        let journal = config.checkpoint.as_ref().and_then(|path| {
+            CheckpointJournal::create(path, config_fingerprint(config), plan.len() as u64).ok()
+        });
+        ShardLedger::new(config, plan, journal, progress)
+    }
+
+    /// A resume-aware ledger: salvages the config's checkpoint journal when
+    /// one exists on disk, and is [`fresh`](Self::fresh) otherwise.
+    ///
+    /// Fails when the journal cannot be read, was written under another
+    /// config fingerprint, or its shard plan disagrees with the config's.
+    /// Nothing on disk changes unless the journal passes these checks.
+    pub fn open(
+        config: &CampaignConfig,
+        progress: &ProgressHandle,
+    ) -> Result<ShardLedger, CheckpointError> {
+        let Some(path) = config.checkpoint.as_ref().filter(|path| path.exists()) else {
+            return Ok(ShardLedger::fresh(config, progress));
+        };
+        let (checkpoint, recovery) = CampaignCheckpoint::load(path)?;
+        let plan = plan_shards(config);
+        let expected = config_fingerprint(config);
         if checkpoint.fingerprint != expected {
             return Err(CheckpointError::FingerprintMismatch {
                 expected,
                 found: checkpoint.fingerprint,
             });
         }
-        let plan = self.plan();
         if checkpoint.shards_total != plan.len() as u64 {
             return Err(CheckpointError::PlanMismatch(format!(
                 "journal plans {} shards, config plans {}",
@@ -307,268 +463,174 @@ impl ShardedCampaign {
                 )));
             }
         }
-        let resume = ResumeState { salvage: checkpoint.shards, recovery, path };
-        Ok(self.run_internal(threads, Some(resume)))
+
+        // Append past the salvaged prefix (with any torn tail truncated).
+        let journal = CheckpointJournal::open_append(path, &recovery).ok();
+        let ledger = ShardLedger::new(config, plan, journal, progress);
+        ledger.control().emit(EventKind::CampaignResumed {
+            shards_salvaged: checkpoint.shards.len() as u64,
+            shards_total: ledger.plan.len() as u64,
+            dropped_bytes: recovery.dropped_tail_bytes,
+        });
+        let leases = checkpoint.latest_leases().into_iter().cloned().collect();
+        let mut shards = Vec::with_capacity(checkpoint.shards.len());
+        for record in checkpoint.shards {
+            let i = record.index as usize;
+            progress.shard_started(i);
+            for _ in 0..record.report.cases_run {
+                progress.case_done(i);
+            }
+            for _ in 0..record.report.bugs.len() {
+                progress.bug_found(i);
+            }
+            progress.shard_finished(i);
+            *ledger.slot(i) = Slot { report: Some(record.report), events: record.events };
+            ledger.flush(i);
+            shards.push(i);
+        }
+        Ok(ShardLedger {
+            salvage: Some(Salvage { path: path.clone(), recovery, shards, leases }),
+            ..ledger
+        })
     }
 
-    /// The executor core: claims pending shards onto workers, checkpoints
-    /// each completed shard, replays salvaged shards, honours cooperative
-    /// shutdown, and merges in shard order.
-    fn run_internal(&self, threads: usize, resume: Option<ResumeState>) -> CampaignReport {
-        let threads = resolve_threads(threads);
-        let shards = self.plan();
-        // Shard-level workers; whatever parallelism is left over goes to the
-        // per-case testbed fan-out inside each shard.
-        let workers = threads.clamp(1, shards.len());
-        let per_shard_threads = (threads / workers).max(1);
-
-        // Arm the wall-clock deadline exactly once, at campaign start; the
-        // token is shared with every shard config clone, so shard-level
-        // re-arming is a no-op and per-case checks see the same instant.
-        if let Some(deadline) = self.config.deadline {
-            self.config.cancel.arm_deadline(std::time::Instant::now() + deadline);
+    fn new(
+        config: &CampaignConfig,
+        plan: Vec<ShardSpec>,
+        journal: Option<CheckpointJournal>,
+        progress: &ProgressHandle,
+    ) -> ShardLedger {
+        progress.reset(&plan.iter().map(|s| s.cases as u64).collect::<Vec<u64>>());
+        ShardLedger {
+            slots: plan.iter().map(|_| Mutex::default()).collect(),
+            frontier: Mutex::new(Frontier { next: 0, done: vec![false; plan.len()] }),
+            plan,
+            sink: config.sink.clone(),
+            cancel: config.cancel.clone(),
+            progress: progress.clone(),
+            journal,
+            control: Mutex::new(Recorder::new(config.sink.clone(), CONTROL_SHARD)),
+            checkpoints_written: AtomicU64::new(0),
+            salvage: None,
         }
+    }
 
-        self.progress.reset(&shards.iter().map(|s| s.cases as u64).collect::<Vec<u64>>());
-        let buffers: Vec<MemorySink> = shards.iter().map(|_| MemorySink::new()).collect();
-        let flush = FlushState::new(shards.len());
-        let slots: Vec<Mutex<Option<CampaignReport>>> =
-            shards.iter().map(|_| Mutex::new(None)).collect();
+    /// The shard plan.
+    pub fn plan(&self) -> &[ShardSpec] {
+        &self.plan
+    }
 
-        // The write-ahead journal: fresh runs start a new one, resumed runs
-        // append past the salvaged prefix (with any torn tail truncated).
-        // Journaling is best-effort — a read-only filesystem degrades to an
-        // unjournaled run rather than failing the campaign.
-        let journal: Option<CheckpointJournal> = match (&self.config.checkpoint, &resume) {
-            (Some(path), None) => CheckpointJournal::create(
-                path,
-                config_fingerprint(&self.config),
-                shards.len() as u64,
-            )
-            .ok(),
-            (Some(_), Some(state)) => {
-                CheckpointJournal::open_append(&state.path, &state.recovery).ok()
+    /// The progress handle salvaged shards were replayed into.
+    pub fn progress(&self) -> &ProgressHandle {
+        &self.progress
+    }
+
+    /// The write-ahead journal, when the run is journalled.
+    pub fn journal(&self) -> Option<&CheckpointJournal> {
+        self.journal.as_ref()
+    }
+
+    /// What [`open`](Self::open) salvaged, when the run resumed a journal.
+    pub fn salvage(&self) -> Option<&Salvage> {
+        self.salvage.as_ref()
+    }
+
+    /// The shards not yet flushed, in plan order.
+    pub fn pending(&self) -> Vec<ShardSpec> {
+        let frontier = self.frontier.lock().expect("flush frontier poisoned");
+        self.plan.iter().filter(|s| !frontier.done[s.index]).copied().collect()
+    }
+
+    /// Puts shard `index`'s report in its result slot.
+    pub fn stage(&self, index: usize, report: CampaignReport) {
+        self.slot(index).report = Some(report);
+    }
+
+    /// Commits staged shard `index` with its event stream: journals the
+    /// shard record (or, for [`Commit::Adopt`], takes the one a worker
+    /// process already appended) and emits `CheckpointWritten`.
+    pub fn commit(&self, index: usize, events: Vec<Event>, how: Commit) {
+        let report = self.slot(index).report.clone().expect("a shard is staged before it commits");
+        let cases_run = report.cases_run;
+        let (written, events) = match (&self.journal, how) {
+            (None, _) => (None, events),
+            (Some(journal), Commit::Append) => {
+                let spec = self.plan[index];
+                let record = ShardRecord {
+                    index: index as u64,
+                    seed: spec.seed,
+                    cases: spec.cases as u64,
+                    report,
+                    events,
+                };
+                (journal.append_shard(&record).ok(), record.events)
             }
-            (None, _) => None,
+            (Some(journal), Commit::Adopt) => {
+                (Some(std::fs::metadata(journal.path()).map(|m| m.len()).unwrap_or(0)), events)
+            }
         };
-        // Control-plane recorder: checkpoint/resume/interrupt events are
-        // operational facts about *this* execution, stamped with the
-        // CONTROL_SHARD pseudo-shard and excluded from determinism
-        // comparisons (`Event::is_control`).
-        let control = Mutex::new(Recorder::new(self.config.sink.clone(), CONTROL_SHARD));
-        let checkpoints_written = AtomicU64::new(0);
-
-        // Replay salvaged shards: results into their merge slots, event
-        // streams into their flush buffers, progress marked complete. The
-        // flush frontier advances through them exactly as if they had just
-        // run, so the sink still observes logical (shard, seq) order.
-        let mut salvaged = vec![false; shards.len()];
-        if let Some(state) = &resume {
-            control.lock().expect("control recorder poisoned").emit(EventKind::CampaignResumed {
-                shards_salvaged: state.salvage.len() as u64,
-                shards_total: shards.len() as u64,
-                dropped_bytes: state.recovery.dropped_tail_bytes,
+        self.slot(index).events = events;
+        if let Some(journal_bytes) = written {
+            self.checkpoints_written.fetch_add(1, Ordering::Relaxed);
+            self.control().emit(EventKind::CheckpointWritten {
+                checkpointed_shard: index as u64,
+                cases_run,
+                journal_bytes,
             });
-            for record in &state.salvage {
-                let i = record.index as usize;
-                salvaged[i] = true;
-                *slots[i].lock().expect("shard slot poisoned") = Some(record.report.clone());
-                for event in &record.events {
-                    buffers[i].emit(event);
-                }
-                self.progress.shard_started(i);
-                for _ in 0..record.report.cases_run {
-                    self.progress.case_done(i);
-                }
-                for _ in 0..record.report.bugs.len() {
-                    self.progress.bug_found(i);
-                }
-                self.progress.shard_finished(i);
-                flush.shard_done(i, &buffers, &self.config.sink);
-            }
         }
-        let pending: Vec<usize> = (0..shards.len()).filter(|&i| !salvaged[i]).collect();
+    }
 
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    // Cooperative shutdown at the shard boundary: claimed
-                    // shards drain at their next cancellation point; nothing
-                    // new is claimed.
-                    if self.config.cancel.is_cancelled() {
-                        break;
-                    }
-                    let p = next.fetch_add(1, Ordering::Relaxed);
-                    if p >= pending.len() {
-                        break;
-                    }
-                    let i = pending[p];
-                    let report = self.run_shard(&shards[i], per_shard_threads, &buffers[i]);
-                    if report.interrupted {
-                        // A partially-run shard is discarded whole: its
-                        // buffered events would desync the replayed stream,
-                        // and resume re-runs the shard from scratch.
-                        buffers[i].take();
-                        break;
-                    }
-                    if let Some(journal) = &journal {
-                        let record = ShardRecord {
-                            index: i as u64,
-                            seed: shards[i].seed,
-                            cases: shards[i].cases as u64,
-                            report: report.clone(),
-                            events: buffers[i].events(),
-                        };
-                        if let Ok(journal_bytes) = journal.append_shard(&record) {
-                            checkpoints_written.fetch_add(1, Ordering::Relaxed);
-                            control.lock().expect("control recorder poisoned").emit(
-                                EventKind::CheckpointWritten {
-                                    checkpointed_shard: i as u64,
-                                    cases_run: record.report.cases_run,
-                                    journal_bytes,
-                                },
-                            );
-                        }
-                    }
-                    *slots[i].lock().expect("shard slot poisoned") = Some(report);
-                    flush.shard_done(i, &buffers, &self.config.sink);
-                });
+    /// Marks shard `index` done and flushes every buffered stream at the
+    /// in-order frontier.
+    pub fn flush(&self, index: usize) {
+        let mut frontier = self.frontier.lock().expect("flush frontier poisoned");
+        frontier.done[index] = true;
+        while frontier.next < frontier.done.len() && frontier.done[frontier.next] {
+            for event in std::mem::take(&mut self.slot(frontier.next).events) {
+                self.sink.emit(&event);
             }
-        });
+            frontier.next += 1;
+        }
+    }
 
-        // Merge whatever completed, in shard order. An uninterrupted run has
-        // every slot filled; an interrupted one merges completed shards only
-        // and flags the report.
-        let shard_reports: Vec<CampaignReport> = slots
-            .into_iter()
-            .filter_map(|slot| slot.into_inner().expect("shard slot poisoned"))
+    /// Merges the flushed shards in shard order. A run with unflushed
+    /// shards is flagged `interrupted` (with a `CampaignInterrupted`
+    /// event); a resumed run carries its [`ResumeInfo`]. Call once: the
+    /// merge takes the staged reports.
+    pub fn finish(&self) -> CampaignReport {
+        let done = self.frontier.lock().expect("flush frontier poisoned").done.clone();
+        let reports: Vec<CampaignReport> = (0..self.plan.len())
+            .filter(|&i| done[i])
+            .map(|i| self.slot(i).report.take().expect("a flushed shard was staged"))
             .collect();
-        let completed = shard_reports.len();
-        let mut merged = merge_shard_reports_with_sink(&shard_reports, &self.config.sink);
-        if completed < shards.len() {
+        let mut merged = merge_shard_reports_with_sink(&reports, &self.sink);
+        if reports.len() < self.plan.len() {
             merged.interrupted = true;
-            let reason =
-                if self.config.cancel.deadline_passed() { "deadline" } else { "cancelled" };
-            control.lock().expect("control recorder poisoned").emit(
-                EventKind::CampaignInterrupted {
-                    shards_completed: completed as u64,
-                    shards_total: shards.len() as u64,
-                    reason: reason.to_string(),
-                },
-            );
+            self.control().emit(EventKind::CampaignInterrupted {
+                shards_completed: reports.len() as u64,
+                shards_total: self.plan.len() as u64,
+                reason: self.cancel.reason().to_string(),
+            });
         }
-        if let Some(state) = resume {
+        if let Some(salvage) = &self.salvage {
             merged.resume = Some(ResumeInfo {
-                resumed_from: state.path.display().to_string(),
-                shards_salvaged: state.salvage.len() as u64,
-                shards_rerun: pending.len() as u64,
-                shards_total: shards.len() as u64,
-                dropped_tail_bytes: state.recovery.dropped_tail_bytes,
-                checkpoints_written: checkpoints_written.load(Ordering::Relaxed),
+                resumed_from: salvage.path.display().to_string(),
+                shards_salvaged: salvage.shards.len() as u64,
+                shards_rerun: (self.plan.len() - salvage.shards.len()) as u64,
+                shards_total: self.plan.len() as u64,
+                dropped_tail_bytes: salvage.recovery.dropped_tail_bytes,
+                checkpoints_written: self.checkpoints_written.load(Ordering::Relaxed),
             });
         }
         merged
     }
 
-    /// Runs one shard as a plain serial campaign over its budget slice,
-    /// buffering its event stream in `buffer` for in-order flushing.
-    ///
-    /// Public so external supervisors (the `comfort-service` daemon, its
-    /// single-shot worker mode) can execute individual leased shards with
-    /// exactly the machinery `run` uses internally — same derived seed,
-    /// same buffered stream — and therefore merge to bit-identical reports.
-    pub fn run_shard(
-        &self,
-        spec: &ShardSpec,
-        exec_threads: usize,
-        buffer: &MemorySink,
-    ) -> CampaignReport {
-        let mut config = self.config.clone();
-        config.seed = spec.seed;
-        config.max_cases = spec.cases;
-        config.sink = SinkHandle::new(buffer.clone());
-        let mut campaign =
-            Campaign::with_shared(config, Arc::clone(&self.generator), self.testbeds.clone());
-        campaign.set_exec_threads(exec_threads);
-        campaign.set_shard(spec.index as u64);
-        campaign.set_progress(self.progress.clone());
-        campaign.run()
-    }
-}
-
-/// Convenience wrapper: builds the executor and resumes (or starts) the
-/// campaign against its configured checkpoint journal.
-///
-/// Deprecated: build a [`CampaignSession`](crate::session::CampaignSession)
-/// instead —
-///
-/// ```no_run
-/// use comfort_core::campaign::CampaignConfig;
-/// use comfort_core::session::CampaignSession;
-///
-/// let config = CampaignConfig::builder()
-///     .max_cases(240)
-///     .shard_cases(40)
-///     .build()
-///     .expect("valid config");
-/// // First invocation runs fresh and journals; re-running the same binary
-/// // after a crash salvages the journal and finishes the remaining shards.
-/// let report = CampaignSession::new(config)
-///     .checkpoint("campaign.ckpt")
-///     .run()
-///     .expect("resumable run");
-/// println!("{} bugs ({} shards salvaged)", report.bugs.len(),
-///          report.resume.map_or(0, |r| r.shards_salvaged));
-/// ```
-#[deprecated(note = "use CampaignSession::new(config).checkpoint(path).run() instead")]
-pub fn run_campaign_resumable(config: CampaignConfig) -> Result<CampaignReport, CheckpointError> {
-    if config.checkpoint.is_none() {
-        // The session treats a checkpoint-less run as fresh; this legacy
-        // entry point always required a journal path.
-        return Err(CheckpointError::NoCheckpointPath);
-    }
-    crate::session::CampaignSession::new(config).run()
-}
-
-/// Everything `run_internal` needs to pick a campaign up from its journal.
-struct ResumeState {
-    salvage: Vec<ShardRecord>,
-    recovery: RecoveryReport,
-    path: PathBuf,
-}
-
-/// Tracks which shard streams have completed and flushes them to the user's
-/// sink in shard order: shard `i` flushes once shards `0..i` have flushed.
-/// Completion out of order is fine — a completed shard's buffer just waits
-/// until it becomes the frontier.
-struct FlushState {
-    inner: Mutex<FlushInner>,
-}
-
-struct FlushInner {
-    /// Next shard index to flush.
-    next: usize,
-    /// Completion flags per shard.
-    done: Vec<bool>,
-}
-
-impl FlushState {
-    fn new(shards: usize) -> Self {
-        FlushState { inner: Mutex::new(FlushInner { next: 0, done: vec![false; shards] }) }
+    fn slot(&self, index: usize) -> std::sync::MutexGuard<'_, Slot> {
+        self.slots[index].lock().expect("shard slot poisoned")
     }
 
-    /// Marks shard `index` complete and flushes every buffered stream at the
-    /// in-order frontier.
-    fn shard_done(&self, index: usize, buffers: &[MemorySink], sink: &SinkHandle) {
-        let mut inner = self.inner.lock().expect("flush state poisoned");
-        inner.done[index] = true;
-        while inner.next < inner.done.len() && inner.done[inner.next] {
-            for event in buffers[inner.next].take() {
-                sink.emit(&event);
-            }
-            inner.next += 1;
-        }
+    fn control(&self) -> std::sync::MutexGuard<'_, Recorder> {
+        self.control.lock().expect("control recorder poisoned")
     }
 }
 

@@ -12,11 +12,10 @@ use comfort_lm::GeneratorConfig;
 use comfort_telemetry::{CampaignMetrics, ProgressHandle, SinkHandle};
 
 use crate::campaign::{BugReport, CampaignConfig, ConfigError};
-use crate::checkpoint::{CheckpointError, ResumeInfo};
+use crate::checkpoint::ResumeInfo;
 use crate::datagen::DataGenConfig;
 use crate::executor::ShardedCampaign;
 use crate::resilience::{CancelToken, ChaosConfig, ExecPolicy, TestbedHealth};
-use crate::session::CampaignSession;
 
 /// Facade configuration (a curated subset of [`CampaignConfig`]).
 #[derive(Debug, Clone)]
@@ -51,8 +50,8 @@ pub struct ComfortConfig {
     pub cancel: CancelToken,
     /// Optional wall-clock budget per budgeted run.
     pub deadline: Option<std::time::Duration>,
-    /// Write-ahead checkpoint journal path; enables crash-safe resume via
-    /// [`Comfort::run_budgeted_resumable`].
+    /// Write-ahead checkpoint journal path: each budgeted run journals its
+    /// shards there, starting the journal afresh.
     pub checkpoint: Option<std::path::PathBuf>,
 }
 
@@ -257,41 +256,8 @@ impl Comfort {
         Self::pipeline_report(executor.run_with_threads(self.config.threads))
     }
 
-    /// Like [`Comfort::run_budgeted`], but resumes from the configured
-    /// checkpoint journal when one exists: salvaged shards are fed straight
-    /// into the merge and only missing shards re-run, yielding a report
-    /// bit-identical to an uninterrupted run.
-    ///
-    /// Fails if the config has no checkpoint path, or if the journal on disk
-    /// belongs to a different configuration (fingerprint mismatch).
-    ///
-    /// Deprecated: build a
-    /// [`CampaignSession`](crate::session::CampaignSession) over a full
-    /// [`CampaignConfig`] instead
-    /// (`CampaignSession::new(config).checkpoint(path).run()`). This
-    /// wrapper delegates to the same machinery and is proven bit-identical
-    /// to the session path by test.
-    #[deprecated(note = "use CampaignSession::new(config).checkpoint(path).run() instead")]
-    pub fn run_budgeted_resumable(
-        &mut self,
-        cases: usize,
-    ) -> Result<PipelineReport, CheckpointError> {
-        let session = self.session_for(cases);
-        if session.config().checkpoint.is_none() {
-            // The session treats a checkpoint-less run as fresh; this
-            // legacy entry point always required a journal path.
-            return Err(CheckpointError::NoCheckpointPath);
-        }
-        session.run().map(Self::pipeline_report)
-    }
-
     fn executor_for(&mut self, cases: usize) -> ShardedCampaign {
         ShardedCampaign::new(self.campaign_config_for(cases))
-    }
-
-    fn session_for(&mut self, cases: usize) -> CampaignSession {
-        let config = self.campaign_config_for(cases);
-        CampaignSession::new(config).share_progress(self.progress.clone())
     }
 
     /// Lowers the facade config into a full [`CampaignConfig`] for one

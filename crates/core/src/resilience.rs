@@ -112,6 +112,16 @@ impl CancelToken {
         deadline.is_some_and(|d| std::time::Instant::now() >= d)
     }
 
+    /// The telemetry label for an interruption: `"deadline"` once an armed
+    /// deadline has elapsed, `"cancelled"` otherwise.
+    pub fn reason(&self) -> &'static str {
+        if self.deadline_passed() {
+            "deadline"
+        } else {
+            "cancelled"
+        }
+    }
+
     /// `true` once cancelled (explicitly or by a passed deadline).
     pub fn is_cancelled(&self) -> bool {
         use std::sync::atomic::Ordering;

@@ -1,14 +1,12 @@
 //! One unified entry point for campaign execution.
 //!
-//! PRs 1–4 accreted four ways to run a campaign — `ShardedCampaign::run`,
-//! `ShardedCampaign::run_resumable`, the `run_campaign_resumable` free
-//! function, and `Comfort::run_budgeted_resumable` — each a different
-//! slice of the same machinery. [`CampaignSession`] collapses them: build
-//! it from a [`CampaignConfig`], override the scheduling knobs with the
-//! chainable setters, and call [`run`](CampaignSession::run). The session
-//! is resume-aware — with a checkpoint path configured it salvages an
-//! existing journal exactly like the old resumable entry points; without
-//! one it runs fresh and always returns `Ok`.
+//! Build a [`CampaignSession`] from a [`CampaignConfig`], override the
+//! scheduling knobs with the chainable setters, and call
+//! [`run`](CampaignSession::run). The session is resume-aware — with a
+//! checkpoint path configured it salvages an existing journal through
+//! [`ShardLedger::open`](crate::executor::ShardLedger::open), the same
+//! resumability rule the `comfort-service` daemon applies; without one it
+//! runs fresh and always returns `Ok`.
 //!
 //! The session owns the trained generator and testbed matrix (built
 //! lazily, once), so sweeping thread counts with
@@ -29,8 +27,7 @@ use crate::executor::{plan_shards, ShardSpec, ShardedCampaign};
 use crate::resilience::CancelToken;
 
 /// A configured, reusable campaign run: the one front door to the sharded
-/// executor, replacing the four legacy entry points (now `#[deprecated]`
-/// wrappers over this type).
+/// executor.
 ///
 /// ```no_run
 /// use comfort_core::campaign::CampaignConfig;

@@ -5,17 +5,22 @@
 //! always leave a loadable journal behind.
 
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
 use comfort_core::campaign::{CampaignConfig, CampaignReport};
 use comfort_core::checkpoint::{
     config_fingerprint, report_to_json_deterministic, CampaignCheckpoint, CheckpointError,
-    CheckpointJournal,
+    CheckpointJournal, ShardRecord,
+};
+use comfort_core::executor::{
+    merge_shard_reports, merge_shard_reports_with_sink, shard_seed, Commit, ShardLedger,
+    ShardedCampaign,
 };
 use comfort_core::resilience::{CancelToken, ChaosConfig, ExecPolicy};
 use comfort_core::session::CampaignSession;
 use comfort_engines::FaultPlan;
 use comfort_lm::GeneratorConfig;
-use comfort_telemetry::{Event, MemorySink, SinkHandle};
+use comfort_telemetry::{Event, EventKind, MemorySink, ProgressHandle, SinkHandle};
 use proptest::prelude::*;
 
 fn temp_path(tag: &str) -> PathBuf {
@@ -373,6 +378,147 @@ proptest! {
             CampaignCheckpoint::load(&path).expect("resumed journal loads");
         prop_assert_eq!(reloaded.shards.len(), 3);
         prop_assert_eq!(recovery.dropped_tail_bytes, 0, "open_append truncated the run away");
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+/// The ledger fixture's config: the base campaign cut into a 4-shard plan.
+fn ledger_config(sink: SinkHandle) -> CampaignConfig {
+    let mut config = base_config(sink);
+    config.max_cases = 40;
+    config.shard_cases = 10;
+    config
+}
+
+/// Each shard of [`ledger_config`]'s plan run once: its report and its
+/// buffered event stream, in plan order.
+fn shard_runs() -> &'static [(CampaignReport, Vec<Event>)] {
+    static RUNS: OnceLock<Vec<(CampaignReport, Vec<Event>)>> = OnceLock::new();
+    RUNS.get_or_init(|| {
+        let executor = ShardedCampaign::new(ledger_config(SinkHandle::null()));
+        executor
+            .plan()
+            .iter()
+            .map(|spec| {
+                let buffer = MemorySink::new();
+                let report = executor.run_shard(spec, 1, &buffer);
+                (report, buffer.take())
+            })
+            .collect()
+    })
+}
+
+/// A seeded interleaving of every shard's `stage → commit → flush` steps
+/// (step 0, 1, 2): each shard's steps stay in order, shards interleave
+/// arbitrarily.
+fn interleaving(seed: u64, shards: &[usize]) -> Vec<(usize, u8)> {
+    let mut remaining: Vec<(usize, u8)> = shards.iter().map(|&shard| (shard, 0)).collect();
+    let mut steps = Vec::new();
+    while !remaining.is_empty() {
+        let pick = (shard_seed(seed, steps.len() as u64) % remaining.len() as u64) as usize;
+        let (shard, step) = remaining[pick];
+        steps.push((shard, step));
+        if step == 2 {
+            remaining.remove(pick);
+        } else {
+            remaining[pick].1 += 1;
+        }
+    }
+    steps
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The shard ledger under arbitrary completion order, with and without
+    /// a salvaged journal prefix, and with at most one shard that never
+    /// completes: the sink receives each shard's stream whole and in shard
+    /// order (up to the first missing shard), `finish` equals the plain
+    /// merge of the completed shards, and a missing shard flags the report
+    /// `interrupted` with a matching `CampaignInterrupted` event.
+    #[test]
+    fn ledger_flushes_in_shard_order_under_any_completion_order(
+        seed in 0u64..1_000_000,
+        salvaged in 0usize..3,
+        dropped in 0usize..8,
+    ) {
+        let runs = shard_runs();
+        let shards = runs.len();
+        let missing = (salvaged..shards).contains(&dropped).then_some(dropped);
+        let path = temp_path(&format!("ledger-{seed}-{salvaged}-{dropped}"));
+        std::fs::remove_file(&path).ok();
+        let sink = MemorySink::new();
+        let mut config = ledger_config(SinkHandle::new(sink.clone()));
+        config.checkpoint = Some(path.clone());
+        let plan = comfort_core::executor::plan_shards(&config);
+        if salvaged > 0 {
+            let journal = CheckpointJournal::create(&path, config_fingerprint(&config), 4)
+                .expect("journal created");
+            for (i, (report, events)) in runs.iter().enumerate().take(salvaged) {
+                let record = ShardRecord {
+                    index: i as u64,
+                    seed: plan[i].seed,
+                    cases: plan[i].cases as u64,
+                    report: report.clone(),
+                    events: events.clone(),
+                };
+                journal.append_shard(&record).expect("record appended");
+            }
+        }
+
+        let ledger = ShardLedger::open(&config, &ProgressHandle::new()).expect("ledger opens");
+        prop_assert_eq!(ledger.salvage().map_or(0, |s| s.shards.len()), salvaged);
+        let pending: Vec<usize> =
+            ledger.pending().iter().map(|s| s.index).filter(|&i| Some(i) != missing).collect();
+        for (shard, step) in interleaving(seed, &pending) {
+            match step {
+                0 => ledger.stage(shard, runs[shard].0.clone()),
+                1 => ledger.commit(shard, runs[shard].1.clone(), Commit::Append),
+                _ => ledger.flush(shard),
+            }
+        }
+        let merged = ledger.finish();
+
+        let completed: Vec<CampaignReport> =
+            (0..shards).filter(|&i| Some(i) != missing).map(|i| runs[i].0.clone()).collect();
+        prop_assert_eq!(
+            report_to_json_deterministic(&merged),
+            report_to_json_deterministic(&merge_shard_reports(&completed))
+        );
+        prop_assert_eq!(merged.interrupted, missing.is_some());
+        let resume = merged.resume.as_ref().map(|r| (r.shards_salvaged, r.checkpoints_written));
+        let expected_resume = (salvaged > 0).then_some((salvaged as u64, pending.len() as u64));
+        prop_assert_eq!(resume, expected_resume);
+
+        // The data plane: shard streams whole and in order up to the first
+        // gap, then the merge's cross-shard dedup events.
+        let dedups = MemorySink::new();
+        merge_shard_reports_with_sink(&completed, &SinkHandle::new(dedups.clone()));
+        let expected: Vec<String> = runs[..missing.unwrap_or(shards)]
+            .iter()
+            .flat_map(|(_, events)| events.iter().cloned())
+            .chain(dedups.take())
+            .map(|e| e.to_json_deterministic())
+            .collect();
+        let events = sink.take();
+        prop_assert_eq!(data_plane(&events), expected);
+
+        let interruptions: Vec<(u64, u64)> = events
+            .iter()
+            .filter_map(|e| match &e.kind {
+                EventKind::CampaignInterrupted { shards_completed, shards_total, .. } => {
+                    Some((*shards_completed, *shards_total))
+                }
+                _ => None,
+            })
+            .collect();
+        let expected_interruptions: Vec<(u64, u64)> =
+            missing.map(|_| (completed.len() as u64, shards as u64)).into_iter().collect();
+        prop_assert_eq!(interruptions, expected_interruptions);
+
+        // Every completed shard is journalled exactly once.
+        let (journal, _) = CampaignCheckpoint::load(&path).expect("journal loads");
+        prop_assert_eq!(journal.shards.len(), completed.len());
         std::fs::remove_file(&path).ok();
     }
 }

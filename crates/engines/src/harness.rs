@@ -13,8 +13,7 @@
 
 use crate::chaos::{fatal_signal_message, ChaosAbort, ChaosPanic, RawFault};
 use crate::Testbed;
-use comfort_interp::{compile, CompiledChunk, RunOptions, RunResult, RunStatus};
-use comfort_syntax::Program;
+use comfort_interp::{CompiledChunk, RunOptions, RunResult, RunStatus};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Arc, OnceLock};
@@ -113,18 +112,6 @@ pub fn silence_chaos_panics() {
             }
         }));
     });
-}
-
-/// Compiles `program` once and runs it under full containment.
-#[deprecated(note = "compile once with `compile` and execute with `run_isolated_compiled`")]
-pub fn run_isolated(
-    testbed: &Testbed,
-    program: &Program,
-    options: &RunOptions,
-    isolation: &IsolationPolicy,
-    retry: &RetryPolicy,
-) -> IsolatedRun {
-    run_isolated_compiled(testbed, &compile(program), options, isolation, retry)
 }
 
 /// Runs a compiled `chunk` on `testbed` under full containment. Never panics
@@ -296,6 +283,7 @@ mod tests {
     use super::*;
     use crate::chaos::FaultPlan;
     use crate::{Engine, EngineName};
+    use comfort_interp::compile;
     use comfort_syntax::parse;
 
     fn chaotic(plan: FaultPlan) -> Testbed {

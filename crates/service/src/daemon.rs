@@ -1,12 +1,14 @@
 //! The supervised multi-tenant campaign daemon.
 //!
 //! One [`Daemon`] multiplexes many concurrent campaigns over a single
-//! global worker pool. The execution model is the library executor's —
-//! per-shard event buffers, an ordered flush frontier, a write-ahead
-//! journal, and the same order-preserving merge — so a campaign run under
-//! the daemon produces a report **bit-identical** (in every deterministic
-//! field) to `CampaignSession::run` on the same spec. What the daemon adds
-//! is *supervision*:
+//! global worker pool. Each campaign's shard bookkeeping — journal
+//! validation and salvage, per-shard event buffers, the ordered flush
+//! frontier, the write-ahead journal and the order-preserving merge — is
+//! the library's own [`ShardLedger`], driven here with journalled leases
+//! instead of the executor's in-memory claims. A campaign run under the
+//! daemon therefore produces a report **bit-identical** (in every
+//! deterministic field) to `CampaignSession::run` on the same spec, and
+//! the same campaign event stream. What the daemon adds is *supervision*:
 //!
 //! * every shard executes under a TTL [`lease`](crate::lease) with a
 //!   fencing sequence; a supervisor heartbeat renews leases whose shard is
@@ -36,16 +38,12 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime};
 
 use comfort_core::campaign::{CampaignConfig, CampaignReport};
-use comfort_core::checkpoint::{
-    config_fingerprint, report_checksum, CampaignCheckpoint, CheckpointJournal, LeaseAction,
-    LeaseRecord, RecoveryReport, ResumeInfo,
-};
-use comfort_core::executor::{merge_shard_reports_with_sink, ShardSpec};
+use comfort_core::checkpoint::{report_checksum, CampaignCheckpoint, LeaseAction, LeaseRecord};
+use comfort_core::executor::{Commit, ShardLedger};
 use comfort_core::resilience::CancelToken;
 use comfort_core::session::CampaignSession;
 use comfort_telemetry::{
-    Event, EventKind, JsonlSink, MemorySink, ProgressHandle, Recorder, Sink, SinkHandle,
-    CONTROL_SHARD, SERVICE_SHARD,
+    Event, EventKind, JsonlSink, MemorySink, Recorder, Sink, SinkHandle, SERVICE_SHARD,
 };
 
 use crate::fleet::{ChildFate, ProcessJail, WorkerArgs, WorkerChild};
@@ -238,57 +236,18 @@ impl Sink for TeeSink {
     }
 }
 
-/// The ordered flush frontier (the executor's contract, restated): shard
-/// `i`'s buffered events flush to the campaign sink once every shard
-/// `0..i` has flushed, so the sink observes logical `(shard, seq)` order
-/// at any pool width.
-struct FlushFrontier {
-    inner: Mutex<FlushInner>,
-}
-
-struct FlushInner {
-    next: usize,
-    done: Vec<bool>,
-}
-
-impl FlushFrontier {
-    fn new(n: usize) -> Self {
-        FlushFrontier { inner: Mutex::new(FlushInner { next: 0, done: vec![false; n] }) }
-    }
-
-    fn shard_done(&self, shard: usize, buffers: &[MemorySink], sink: &SinkHandle) {
-        let mut inner = self.inner.lock().expect("flush frontier poisoned");
-        inner.done[shard] = true;
-        while inner.next < inner.done.len() && inner.done[inner.next] {
-            for event in buffers[inner.next].take() {
-                sink.emit(&event);
-            }
-            inner.next += 1;
-        }
-    }
-}
-
-/// One supervised campaign: the session, its lease table, and the
-/// executor-shaped merge state.
+/// One supervised campaign: the session, its shard ledger, and its lease
+/// table.
 struct CampaignEntry {
     id: String,
     tenant: String,
     name: String,
     session: CampaignSession,
-    plan: Vec<ShardSpec>,
     cancel: CancelToken,
-    sink: SinkHandle,
     tail: MemorySink,
-    journal: Option<CheckpointJournal>,
-    buffers: Vec<MemorySink>,
-    slots: Vec<Mutex<Option<CampaignReport>>>,
-    flush: FlushFrontier,
+    ledger: ShardLedger,
     leases: LeaseTable,
-    control: Mutex<Recorder>,
     state: Mutex<CampaignState>,
-    progress: ProgressHandle,
-    checkpoints_written: AtomicU64,
-    resume: Option<(String, RecoveryReport, u64)>,
     final_report: Mutex<Option<(CampaignReport, u64)>>,
     failure: Mutex<Option<String>>,
     /// The spec file handed to worker children (process isolation only).
@@ -334,13 +293,13 @@ impl CampaignEntry {
 
     fn status(&self) -> CampaignStatus {
         let (done, held, _) = self.leases.counts();
-        let snap = self.progress.snapshot();
+        let snap = self.ledger.progress().snapshot();
         CampaignStatus {
             id: self.id.clone(),
             tenant: self.tenant.clone(),
             name: self.name.clone(),
             state: self.state(),
-            shards_total: self.plan.len(),
+            shards_total: self.ledger.plan().len(),
             shards_done: done,
             shards_held: held,
             reclaims: self.leases.total_reclaims(),
@@ -353,7 +312,7 @@ impl CampaignEntry {
                 .as_ref()
                 .map(|(_, checksum)| *checksum),
             failure: self.failure.lock().expect("failure poisoned").clone(),
-            resumed: self.resume.is_some(),
+            resumed: self.ledger.salvage().is_some(),
         }
     }
 }
@@ -415,7 +374,7 @@ impl DaemonShared {
 
     /// Journals and emits one lease transition, bumping its metric.
     fn record_lease(&self, entry: &CampaignEntry, action: LeaseAction, t: &Transition) {
-        if let Some(journal) = &entry.journal {
+        if let Some(journal) = entry.ledger.journal() {
             let _ = journal.append_lease(&LeaseRecord {
                 shard: t.shard as u64,
                 worker: t.holder.clone(),
@@ -524,7 +483,7 @@ impl DaemonShared {
                 return;
             }
         }
-        let snap = entry.progress.snapshot();
+        let snap = entry.ledger.progress().snapshot();
         let progress = move |i: usize| snap.shards.get(i).map(|s| s.cases_done).unwrap_or_default();
         let claim = match entry.leases.claim_pending(worker, &progress) {
             Some(claim) => claim,
@@ -555,7 +514,7 @@ impl DaemonShared {
 
     /// Runs one leased shard on this pool thread (thread isolation).
     fn execute_inline(&self, entry: &Arc<CampaignEntry>, claim: &Claim, transition: &Transition) {
-        let spec = entry.plan[claim.shard];
+        let spec = entry.ledger.plan()[claim.shard];
         let attempt = MemorySink::new();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             entry.session.executor().run_shard(&spec, 1, &attempt)
@@ -584,39 +543,19 @@ impl DaemonShared {
                 // function of the shard spec, so a fenced duplicate stages
                 // the same value the rightful holder will.
                 let settle = SettleGuard::arm(&entry.settling);
-                *entry.slots[claim.shard].lock().expect("shard slot poisoned") =
-                    Some(report.clone());
+                entry.ledger.stage(claim.shard, report);
                 if !entry.leases.complete(claim.shard, claim.lease_seq) {
                     // Fenced: the supervisor reclaimed this lease and the
                     // shard belongs to someone else now. Only the current
                     // sequence may commit the journal record and telemetry.
                     return;
                 }
-                for event in attempt.events() {
-                    entry.buffers[claim.shard].emit(&event);
-                }
-                if let Some(journal) = &entry.journal {
-                    let record = comfort_core::checkpoint::ShardRecord {
-                        index: claim.shard as u64,
-                        seed: spec.seed,
-                        cases: spec.cases as u64,
-                        report: report.clone(),
-                        events: entry.buffers[claim.shard].events(),
-                    };
-                    if let Ok(journal_bytes) = journal.append_shard(&record) {
-                        entry.checkpoints_written.fetch_add(1, Ordering::Relaxed);
-                        entry.control.lock().expect("control recorder poisoned").emit(
-                            EventKind::CheckpointWritten {
-                                checkpointed_shard: claim.shard as u64,
-                                cases_run: record.report.cases_run,
-                                journal_bytes,
-                            },
-                        );
-                    }
-                }
+                entry.ledger.commit(claim.shard, attempt.take(), Commit::Append);
                 self.record_lease(entry, LeaseAction::Released, transition);
+                // Flush inside the settlement window, so finalization never
+                // merges ahead of this shard's buffered events.
+                entry.ledger.flush(claim.shard);
                 drop(settle);
-                entry.flush.shard_done(claim.shard, &entry.buffers, &entry.sink);
                 self.maybe_finalize(entry);
             }
         }
@@ -744,12 +683,13 @@ impl DaemonShared {
         });
         self.metrics.workers_spawned.fetch_add(1, Ordering::Relaxed);
         self.workers_active.fetch_add(1, Ordering::SeqCst);
-        entry.progress.shard_started(claim.shard);
+        let progress = entry.ledger.progress();
+        progress.shard_started(claim.shard);
         let kill_at = if doomed { Some(Instant::now() + jail.kill_after) } else { None };
         let mut applied = 0u64;
         let apply = |applied: &mut u64, reported: u64| {
             while *applied < reported {
-                entry.progress.case_done(claim.shard);
+                progress.case_done(claim.shard);
                 *applied += 1;
             }
         };
@@ -837,8 +777,8 @@ impl DaemonShared {
     }
 
     /// Adopts a committed child's journalled shard record into the
-    /// campaign: stage the report, pass the fence, replay the events into
-    /// the flush frontier — the same commit sequence as the inline path.
+    /// campaign: stage the report, pass the fence, commit and flush — the
+    /// same ledger sequence as the inline path.
     fn stage_child_commit(
         &self,
         entry: &Arc<CampaignEntry>,
@@ -846,14 +786,13 @@ impl DaemonShared {
         transition: &Transition,
         applied: u64,
     ) -> ChildOutcome {
-        let Some(journal) = &entry.journal else {
+        let Some(journal) = entry.ledger.journal() else {
             entry.leases.abandon(claim.shard, claim.lease_seq);
             self.record_lease(entry, LeaseAction::Released, transition);
             self.fail_campaign(entry, "process isolation lost its journal".to_string());
             return ChildOutcome::SpawnFailed;
         };
-        let path = journal.path().to_path_buf();
-        let record = CampaignCheckpoint::load(&path)
+        let record = CampaignCheckpoint::load(journal.path())
             .ok()
             .and_then(|(c, _)| c.shards.into_iter().find(|r| r.index == claim.shard as u64));
         let Some(record) = record else {
@@ -868,36 +807,23 @@ impl DaemonShared {
         // Catch the progress handle up to the committed truth (the last
         // stdout heartbeat may predate the final cases) and mirror the
         // executor's bug/finish bookkeeping for status parity.
-        let mut applied = applied;
-        while applied < record.report.cases_run {
-            entry.progress.case_done(claim.shard);
-            applied += 1;
+        let progress = entry.ledger.progress();
+        for _ in applied..record.report.cases_run {
+            progress.case_done(claim.shard);
         }
         for _ in 0..record.report.bugs.len() {
-            entry.progress.bug_found(claim.shard);
+            progress.bug_found(claim.shard);
         }
         let settle = SettleGuard::arm(&entry.settling);
-        *entry.slots[claim.shard].lock().expect("shard slot poisoned") =
-            Some(record.report.clone());
+        entry.ledger.stage(claim.shard, record.report);
         if !entry.leases.complete(claim.shard, claim.lease_seq) {
             return ChildOutcome::Fenced;
         }
-        entry.progress.shard_finished(claim.shard);
-        for event in &record.events {
-            entry.buffers[claim.shard].emit(event);
-        }
-        entry.checkpoints_written.fetch_add(1, Ordering::Relaxed);
-        let journal_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or_default();
-        entry.control.lock().expect("control recorder poisoned").emit(
-            EventKind::CheckpointWritten {
-                checkpointed_shard: claim.shard as u64,
-                cases_run: record.report.cases_run,
-                journal_bytes,
-            },
-        );
+        progress.shard_finished(claim.shard);
+        entry.ledger.commit(claim.shard, record.events, Commit::Adopt);
         self.record_lease(entry, LeaseAction::Released, transition);
+        entry.ledger.flush(claim.shard);
         drop(settle);
-        entry.flush.shard_done(claim.shard, &entry.buffers, &entry.sink);
         self.maybe_finalize(entry);
         ChildOutcome::Committed
     }
@@ -920,7 +846,7 @@ impl DaemonShared {
         if !entry.leases.quarantine(shard) {
             return; // another thread owns this shard's fault handling
         }
-        let cases = entry.plan[shard].cases;
+        let cases = entry.ledger.plan()[shard].cases;
         let probe = |limit: usize| -> Option<i32> {
             let args = WorkerArgs {
                 spec: spec_path.to_path_buf(),
@@ -1082,49 +1008,27 @@ impl DaemonShared {
                 if entry.settling.load(Ordering::SeqCst) > 0 {
                     return;
                 }
-                let reports: Vec<CampaignReport> = entry
-                    .slots
-                    .iter()
-                    .map(|slot| {
-                        slot.lock().expect("shard slot poisoned").clone().expect("done slot filled")
-                    })
-                    .collect();
-                let mut merged = merge_shard_reports_with_sink(&reports, &entry.sink);
-                self.attach_resume(entry, &mut merged);
+                let merged = entry.ledger.finish();
+                let shards_total = entry.ledger.plan().len() as u64;
+                let rerun = merged.resume.as_ref().map_or(shards_total, |r| r.shards_rerun);
                 let checksum = report_checksum(&merged);
                 *entry.final_report.lock().expect("final report poisoned") =
                     Some((merged, checksum));
                 *state = CampaignState::Completed;
-                let salvaged = entry.resume.as_ref().map(|(_, _, n)| *n).unwrap_or(0);
-                Some(("completed", entry.plan.len() as u64 - salvaged))
+                Some(("completed", rerun))
             } else if entry.cancel.is_cancelled() && entry.leases.counts().1 == 0 {
                 if entry.settling.load(Ordering::SeqCst) > 0 {
                     return;
                 }
                 // Nothing in flight and nothing will be leased again: merge
                 // what completed and flag it, exactly like the library path.
-                let reports: Vec<CampaignReport> = entry
-                    .slots
-                    .iter()
-                    .filter_map(|slot| slot.lock().expect("shard slot poisoned").clone())
-                    .collect();
-                let completed = reports.len();
-                let mut merged = merge_shard_reports_with_sink(&reports, &entry.sink);
-                merged.interrupted = true;
-                let reason = if entry.cancel.deadline_passed() { "deadline" } else { "cancelled" };
-                entry.control.lock().expect("control recorder poisoned").emit(
-                    EventKind::CampaignInterrupted {
-                        shards_completed: completed as u64,
-                        shards_total: entry.plan.len() as u64,
-                        reason: reason.to_string(),
-                    },
-                );
-                self.attach_resume(entry, &mut merged);
+                let completed = entry.leases.counts().0 as u64;
+                let merged = entry.ledger.finish();
                 let checksum = report_checksum(&merged);
                 *entry.final_report.lock().expect("final report poisoned") =
                     Some((merged, checksum));
                 *state = CampaignState::Cancelled;
-                Some((reason, completed as u64))
+                Some((entry.cancel.reason(), completed))
             } else {
                 None
             }
@@ -1145,19 +1049,6 @@ impl DaemonShared {
         }
     }
 
-    fn attach_resume(&self, entry: &CampaignEntry, merged: &mut CampaignReport) {
-        if let Some((path, recovery, salvaged)) = &entry.resume {
-            merged.resume = Some(ResumeInfo {
-                resumed_from: path.clone(),
-                shards_salvaged: *salvaged,
-                shards_rerun: entry.plan.len() as u64 - salvaged,
-                shards_total: entry.plan.len() as u64,
-                dropped_tail_bytes: recovery.dropped_tail_bytes,
-                checkpoints_written: entry.checkpoints_written.load(Ordering::Relaxed),
-            });
-        }
-    }
-
     /// One supervisor heartbeat over every live campaign. Each campaign
     /// ticks inside its own `catch_unwind`, so a poisoned campaign cannot
     /// take the supervisor (or its neighbours) down with it.
@@ -1170,7 +1061,7 @@ impl DaemonShared {
                 continue;
             }
             let result = catch_unwind(AssertUnwindSafe(|| {
-                let snap = entry.progress.snapshot();
+                let snap = entry.ledger.progress().snapshot();
                 let progress =
                     move |i: usize| snap.shards.get(i).map(|s| s.cases_done).unwrap_or_default();
                 let beat = entry.leases.tick(now, &progress);
@@ -1362,7 +1253,7 @@ impl Daemon {
             Ok(entry) => entry,
             Err(e) => return reject("journal_conflict", e, 0),
         };
-        let shards = entry.plan.len() as u64;
+        let shards = entry.ledger.plan().len() as u64;
         shared.campaigns.lock().expect("campaign registry poisoned").push(Arc::clone(&entry));
         shared.emit_service(EventKind::CampaignAdmitted {
             campaign: id.clone(),
@@ -1568,8 +1459,8 @@ impl Drop for Daemon {
 }
 
 /// Builds a campaign entry, salvaging an existing journal when the spec
-/// names one (fingerprint- and plan-validated, exactly like the library's
-/// resumable path).
+/// names one (through [`ShardLedger::open`], the library's resumability
+/// rule) and adopting the leases it journalled as held.
 fn build_entry(
     shared: &DaemonShared,
     id: &str,
@@ -1584,153 +1475,70 @@ fn build_entry(
         ),
         None => None,
     };
-    let sink = SinkHandle::new(TeeSink { tail: tail.clone(), file });
     let cancel = CancelToken::new();
-    config.sink = sink.clone();
+    config.sink = SinkHandle::new(TeeSink { tail: tail.clone(), file });
     config.cancel = cancel.clone();
     if let Some(deadline) = config.deadline {
         // The library arms the deadline at campaign start; under the daemon
         // a campaign starts the moment it is admitted.
         cancel.arm_deadline(Instant::now() + deadline);
     }
-    let checkpoint_path = config.checkpoint.clone();
+    let checkpoint = config.checkpoint.clone();
+    let session = CampaignSession::new(config);
+    let ledger = ShardLedger::open(session.config(), &session.progress())
+        .map_err(|e| format!("journal {:?}: {e}", checkpoint.clone().unwrap_or_default()))?;
     // Process isolation: persist the spec next to the journal so worker
     // children rebuild the identical campaign (same fingerprint) from it.
+    // Written only once the journal is accepted, so a rejected submission
+    // never replaces the spec file of a live campaign on the same journal.
     let mut spec_path = None;
-    if matches!(shared.cfg.isolation, IsolationMode::Processes(_)) {
-        if let Some(path) = &checkpoint_path {
-            let p = PathBuf::from(format!("{}.spec.json", path.display()));
-            std::fs::write(&p, spec.to_json())
-                .map_err(|e| format!("cannot write worker spec file {p:?}: {e}"))?;
-            spec_path = Some(p);
-        }
+    if let (IsolationMode::Processes(_), Some(path)) = (&shared.cfg.isolation, &checkpoint) {
+        let p = PathBuf::from(format!("{}.spec.json", path.display()));
+        std::fs::write(&p, spec.to_json())
+            .map_err(|e| format!("cannot write worker spec file {p:?}: {e}"))?;
+        spec_path = Some(p);
     }
-    let session = CampaignSession::new(config);
-    let plan = session.plan();
-    let progress = session.progress();
-    progress.reset(&plan.iter().map(|s| s.cases as u64).collect::<Vec<u64>>());
-    let buffers: Vec<MemorySink> = plan.iter().map(|_| MemorySink::new()).collect();
-    let slots: Vec<Mutex<Option<CampaignReport>>> = plan.iter().map(|_| Mutex::new(None)).collect();
-    let flush = FlushFrontier::new(plan.len());
-    let leases = LeaseTable::new(plan.len(), shared.cfg.lease_ttl);
-    let control = Mutex::new(Recorder::new(sink.clone(), CONTROL_SHARD));
 
-    let mut journal = None;
-    let mut resume = None;
-    if let Some(path) = &checkpoint_path {
-        if path.exists() {
-            let (checkpoint, recovery) =
-                CampaignCheckpoint::load(path).map_err(|e| format!("journal {path:?}: {e}"))?;
-            let expected = config_fingerprint(session.config());
-            if checkpoint.fingerprint != expected {
-                return Err(format!(
-                    "journal {path:?} was written under fingerprint {:#018x}, spec derives {:#018x}",
-                    checkpoint.fingerprint, expected
-                ));
+    let leases = LeaseTable::new(ledger.plan().len(), shared.cfg.lease_ttl);
+    if let Some(salvage) = ledger.salvage() {
+        for &shard in &salvage.shards {
+            leases.restore_done(shard);
+        }
+        // Adopt the journal's lease state: a shard journalled as held
+        // with no shard record means its holder died mid-shard. The
+        // adopted lease runs out its recorded TTL (the dead holder makes
+        // no progress) and is then reclaimed and re-leased.
+        for lease in &salvage.leases {
+            let shard = lease.shard as usize;
+            if shard < ledger.plan().len()
+                && matches!(lease.action, LeaseAction::Acquired | LeaseAction::Renewed)
+            {
+                let ttl = Duration::from_millis(lease.ttl_millis);
+                leases.restore_held(shard, &lease.worker, lease.lease_seq, ttl);
+                // Re-emitting Acquired on adoption keeps the lease ledger
+                // balanced within this daemon life.
+                shared.emit_service(EventKind::LeaseAcquired {
+                    campaign: id.to_string(),
+                    lease_shard: lease.shard,
+                    worker: lease.worker.clone(),
+                    ttl_millis: lease.ttl_millis,
+                });
+                shared.metrics.leases_acquired.fetch_add(1, Ordering::Relaxed);
             }
-            if checkpoint.shards_total != plan.len() as u64 {
-                return Err(format!(
-                    "journal {path:?} plans {} shards, spec plans {}",
-                    checkpoint.shards_total,
-                    plan.len()
-                ));
-            }
-            for record in &checkpoint.shards {
-                let spec_shard = plan.get(record.index as usize).ok_or_else(|| {
-                    format!("journal {path:?} has a record for out-of-plan shard {}", record.index)
-                })?;
-                if record.seed != spec_shard.seed || record.cases != spec_shard.cases as u64 {
-                    return Err(format!(
-                        "journal {path:?} shard {} disagrees with the spec's plan",
-                        record.index
-                    ));
-                }
-            }
-            control.lock().expect("control recorder poisoned").emit(EventKind::CampaignResumed {
-                shards_salvaged: checkpoint.shards.len() as u64,
-                shards_total: plan.len() as u64,
-                dropped_bytes: recovery.dropped_tail_bytes,
-            });
-            for record in &checkpoint.shards {
-                let i = record.index as usize;
-                *slots[i].lock().expect("shard slot poisoned") = Some(record.report.clone());
-                for event in &record.events {
-                    buffers[i].emit(event);
-                }
-                progress.shard_started(i);
-                for _ in 0..record.report.cases_run {
-                    progress.case_done(i);
-                }
-                for _ in 0..record.report.bugs.len() {
-                    progress.bug_found(i);
-                }
-                progress.shard_finished(i);
-                flush.shard_done(i, &buffers, &sink);
-                leases.restore_done(i);
-            }
-            // Adopt the journal's lease state: a shard journalled as held
-            // with no shard record means its holder died mid-shard. The
-            // adopted lease runs out its recorded TTL (the dead holder
-            // makes no progress) and is then reclaimed and re-leased.
-            for lease in checkpoint.latest_leases() {
-                let shard = lease.shard as usize;
-                if shard >= plan.len() {
-                    continue;
-                }
-                if matches!(lease.action, LeaseAction::Acquired | LeaseAction::Renewed) {
-                    let ttl = Duration::from_millis(lease.ttl_millis);
-                    leases.restore_held(shard, &lease.worker, lease.lease_seq, ttl);
-                    let adopted = Transition {
-                        shard,
-                        holder: lease.worker.clone(),
-                        lease_seq: lease.lease_seq,
-                        ttl_millis: lease.ttl_millis,
-                        reclaims: 0,
-                    };
-                    // Re-emitting Acquired on adoption keeps the lease
-                    // ledger balanced within this daemon life.
-                    shared.emit_service(EventKind::LeaseAcquired {
-                        campaign: id.to_string(),
-                        lease_shard: adopted.shard as u64,
-                        worker: adopted.holder.clone(),
-                        ttl_millis: adopted.ttl_millis,
-                    });
-                    shared.metrics.leases_acquired.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            let salvaged = checkpoint.shards.len() as u64;
-            journal = CheckpointJournal::open_append(path, &recovery).ok();
-            resume = Some((path.display().to_string(), recovery, salvaged));
-        } else {
-            journal = CheckpointJournal::create(
-                path,
-                config_fingerprint(session.config()),
-                plan.len() as u64,
-            )
-            .ok();
         }
     }
 
-    let shards_in_plan = plan.len();
+    let shards_in_plan = ledger.plan().len();
     Ok(Arc::new(CampaignEntry {
         id: id.to_string(),
         tenant: spec.tenant.clone(),
         name: spec.name.clone().unwrap_or_else(|| id.to_string()),
         session,
-        plan,
         cancel,
-        sink,
         tail,
-        journal,
-        buffers,
-        slots,
-        flush,
+        ledger,
         leases,
-        control,
         state: Mutex::new(CampaignState::Queued),
-        progress,
-        checkpoints_written: AtomicU64::new(0),
-        resume,
         final_report: Mutex::new(None),
         failure: Mutex::new(None),
         spec_path,

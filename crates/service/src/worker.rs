@@ -24,10 +24,9 @@
 use std::time::Duration;
 
 use comfort_core::checkpoint::{
-    config_fingerprint, CampaignCheckpoint, CheckpointJournal, LeaseAction, LeaseRecord,
-    ShardRecord,
+    CampaignCheckpoint, CheckpointError, CheckpointJournal, LeaseAction, LeaseRecord, ShardRecord,
 };
-use comfort_core::executor::ShardSpec;
+use comfort_core::executor::{ShardLedger, ShardSpec};
 use comfort_core::session::CampaignSession;
 use comfort_telemetry::MemorySink;
 
@@ -175,7 +174,6 @@ pub fn run_worker_once(opts: &WorkerOnceOptions) -> Result<String, WorkerError> 
     let path = path.ok_or_else(|| {
         WorkerError::Spec("worker-once requires a checkpoint in the spec".to_string())
     })?;
-    let fingerprint = config_fingerprint(session.config());
 
     // Progress sampling: run_shard drives the session's shared progress
     // handle, so a sampler thread can stream `progress` lines to stdout.
@@ -201,7 +199,7 @@ pub fn run_worker_once(opts: &WorkerOnceOptions) -> Result<String, WorkerError> 
                 "--shard and --lease-seq must be given together".to_string(),
             ));
         }
-        (None, None) => claim_standalone(opts, &path, fingerprint, plan.len())?,
+        (None, None) => claim_standalone(opts, &session, &path)?,
     };
     let directed = opts.lease_seq.is_some();
 
@@ -285,34 +283,26 @@ fn run_probe(
 /// at the contested sequence.
 fn claim_standalone(
     opts: &WorkerOnceOptions,
+    session: &CampaignSession,
     path: &std::path::Path,
-    fingerprint: u64,
-    shards_total: usize,
 ) -> Result<(CheckpointJournal, u64, u64), WorkerError> {
-    let (journal, target, lease_seq) = if path.exists() {
-        let (checkpoint, recovery) = CampaignCheckpoint::load(path)
-            .map_err(|e| WorkerError::Journal(format!("journal {path:?}: {e}")))?;
-        if checkpoint.fingerprint != fingerprint {
-            return Err(WorkerError::Spec(format!("journal {path:?} belongs to a different spec")));
+    // The library's resumability rule decides whether the journal on disk
+    // belongs to this spec (and creates it when there is none yet).
+    let ledger = ShardLedger::open(session.config(), &session.progress()).map_err(|e| match e {
+        CheckpointError::FingerprintMismatch { .. } | CheckpointError::PlanMismatch(_) => {
+            WorkerError::Spec(format!("journal {path:?} belongs to a different spec: {e}"))
         }
-        let done: Vec<u64> = checkpoint.shards.iter().map(|r| r.index).collect();
-        let target = (0..shards_total as u64)
-            .find(|i| !done.contains(i))
-            .ok_or_else(|| WorkerError::Idle("every shard is already committed".to_string()))?;
-        let lease_seq = checkpoint
-            .latest_leases()
-            .iter()
-            .find(|l| l.shard == target)
-            .map(|l| l.lease_seq + 1)
-            .unwrap_or(1);
-        let journal = CheckpointJournal::open_append(path, &recovery)
-            .map_err(|e| WorkerError::Journal(format!("cannot append to {path:?}: {e}")))?;
-        (journal, target, lease_seq)
-    } else {
-        let journal = CheckpointJournal::create(path, fingerprint, shards_total as u64)
-            .map_err(|e| WorkerError::Journal(format!("cannot create {path:?}: {e}")))?;
-        (journal, 0, 1)
-    };
+        e => WorkerError::Journal(format!("journal {path:?}: {e}")),
+    })?;
+    let (done, leases) =
+        ledger.salvage().map_or((&[][..], &[][..]), |s| (&s.shards[..], &s.leases[..]));
+    let target = (0..ledger.plan().len())
+        .find(|i| !done.contains(i))
+        .ok_or_else(|| WorkerError::Idle("every shard is already committed".to_string()))?
+        as u64;
+    let lease_seq = leases.iter().find(|l| l.shard == target).map_or(1, |l| l.lease_seq + 1);
+    let journal = CheckpointJournal::open_append_shared(path)
+        .map_err(|e| WorkerError::Journal(format!("cannot append to {path:?}: {e}")))?;
 
     journal
         .append_lease(&lease_record(opts, target, lease_seq, LeaseAction::Acquired))

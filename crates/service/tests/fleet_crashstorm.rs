@@ -200,3 +200,39 @@ fn fleet_rejects_specs_without_a_checkpoint_journal() {
     assert!(err.message.contains("checkpoint"), "{}", err.message);
     daemon.drain();
 }
+
+#[test]
+fn rejected_submission_leaves_the_live_campaigns_worker_spec_alone() {
+    let journal = temp_path("conflict.ckpt");
+    let spec_a = CampaignSpec { chaos: None, ..storm_spec(&journal) };
+    let spec_b = CampaignSpec { seed: Some(78), ..spec_a.clone() };
+    let baseline = {
+        let bare = CampaignSpec { checkpoint: None, ..spec_a.clone() };
+        let config = bare.build_config().expect("spec builds");
+        let report =
+            CampaignSession::new(config).run_with_threads(1).expect("baseline run succeeds");
+        report_checksum(&report)
+    };
+
+    let jail = ProcessJail::new(PathBuf::from(env!("CARGO_BIN_EXE_comfortd")));
+    let daemon = Daemon::start(ServiceConfig {
+        workers: 1,
+        isolation: IsolationMode::Processes(jail),
+        ..ServiceConfig::default()
+    });
+    let id = daemon.submit(&spec_a).expect("campaign A admitted");
+    let err = daemon.submit(&spec_b).expect_err("B names A's journal under another fingerprint");
+    assert_eq!(err.reason, "journal_conflict");
+    let spec_file = format!("{}.spec.json", journal.display());
+    assert_eq!(
+        std::fs::read_to_string(&spec_file).expect("A's worker spec file"),
+        spec_a.to_json(),
+        "the rejected submission must not replace A's worker spec"
+    );
+
+    let status = daemon.wait(&id, Duration::from_secs(600)).expect("campaign exists");
+    assert_eq!(status.state, CampaignState::Completed, "failure={:?}", status.failure);
+    assert_eq!(status.checksum, Some(baseline), "A ran its own spec on every shard");
+    daemon.drain();
+    cleanup(&journal);
+}

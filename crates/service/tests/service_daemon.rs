@@ -13,7 +13,7 @@ use comfort_service::daemon::{CampaignState, Daemon, ServiceConfig};
 use comfort_service::metrics::MetricsSnapshot;
 use comfort_service::spec::{CampaignSpec, ChaosSpec};
 use comfort_service::worker::{run_worker_once, WorkerOnceOptions};
-use comfort_telemetry::{EventKind, MemorySink, SinkHandle};
+use comfort_telemetry::{Event, EventKind, MemorySink, SinkHandle};
 
 /// A small two-shard campaign that finishes in a couple of seconds.
 fn small_spec(tenant: &str, seed: u64) -> CampaignSpec {
@@ -42,6 +42,39 @@ fn library_checksum(spec: &CampaignSpec, threads: usize) -> u64 {
     let report =
         CampaignSession::new(config).run_with_threads(threads).expect("library run succeeds");
     report_checksum(&report)
+}
+
+/// The deterministic campaign stream: control-plane events dropped, the
+/// rest rendered without wall-clock fields.
+fn campaign_stream(events: &[Event]) -> Vec<String> {
+    events
+        .iter()
+        .filter(|e| !e.is_control())
+        .map(|e| e.without_wall_clock().to_json_deterministic())
+        .collect()
+}
+
+/// The campaign stream a plain library session emits for `spec`.
+fn library_stream(spec: &CampaignSpec) -> Vec<String> {
+    let mut bare = spec.clone();
+    bare.checkpoint = None;
+    bare.telemetry = None;
+    let sink = MemorySink::new();
+    let config = bare.build_config().expect("spec builds a config");
+    CampaignSession::new(config)
+        .sink(SinkHandle::new(sink.clone()))
+        .run_with_threads(1)
+        .expect("library run succeeds");
+    campaign_stream(&sink.take())
+}
+
+/// The campaign stream the daemon tails for campaign `id`, once terminal.
+fn daemon_stream(daemon: &Daemon, id: &str) -> Vec<String> {
+    let status = wait_terminal(daemon, id);
+    assert_eq!(status.state, CampaignState::Completed);
+    let (events, terminal) = daemon.tail_events(id, 0).expect("tail available");
+    assert!(terminal);
+    campaign_stream(&events)
 }
 
 fn temp_path(name: &str) -> PathBuf {
@@ -311,5 +344,34 @@ fn fully_salvaged_resubmission_finalizes_without_workers() {
     assert_eq!(snap.leases_acquired, 0);
     daemon.drain();
     assert_ledgers_reconcile(&daemon, &service_events);
+    let _ = std::fs::remove_file(&journal);
+}
+
+#[test]
+fn daemon_campaign_stream_equals_the_library_stream() {
+    // Three shards, so a two-wide pool completes them out of order.
+    let spec = CampaignSpec { max_cases: Some(45), ..small_spec("acme", 71) };
+    let reference = library_stream(&spec);
+    assert!(!reference.is_empty());
+
+    for workers in [1, 2] {
+        let daemon = Daemon::start(ServiceConfig { workers, ..ServiceConfig::default() });
+        let id = daemon.submit(&spec).expect("admitted");
+        assert_eq!(daemon_stream(&daemon, &id), reference, "pool width {workers}");
+        daemon.drain();
+    }
+
+    // A resubmission that salvages a half-finished journal replays the
+    // salvaged shard's events into the same stream.
+    let journal = temp_path("stream.ckpt");
+    let mut journalled = spec.clone();
+    journalled.checkpoint = Some(journal.display().to_string());
+    run_worker_once(&WorkerOnceOptions::standalone(journalled.clone(), "prep"))
+        .expect("worker-once commits one shard");
+    let daemon = Daemon::start(ServiceConfig { workers: 2, ..ServiceConfig::default() });
+    let id = daemon.submit(&journalled).expect("resubmission admitted");
+    assert_eq!(daemon_stream(&daemon, &id), reference, "resumed from a partial journal");
+    assert!(daemon.campaign_status(&id).expect("status").resumed);
+    daemon.drain();
     let _ = std::fs::remove_file(&journal);
 }
