@@ -4,20 +4,8 @@
 //! benches: canned configurations for each table/figure of the paper.
 //!
 //! See DESIGN.md §3 for the experiment index; EXPERIMENTS.md records the
-//! paper-vs-measured comparison produced by `tables -- all`.
-//!
-//! The perf-trajectory subsystem (DESIGN.md §11) lives in the submodules:
-//!
-//! * [`harness`] — the seeded `bench-harness` workload (campaign thread
-//!   sweep, stage breakdown, interp microbenches),
-//! * [`perf`] — the schema-versioned `BENCH_*.json` report model,
-//! * [`diff`] — the `bench-diff` >5%-regression gate,
-//! * [`stats`] — median/MAD summaries.
-
-pub mod diff;
-pub mod harness;
-pub mod perf;
-pub mod stats;
+//! paper-vs-measured comparison produced by `tables -- all`. The
+//! repository benchmark is `perfbench` (DESIGN.md §11).
 
 use comfort_core::campaign::{Campaign, CampaignConfig, CampaignReport};
 use comfort_core::compare::{compare, CompareConfig, FuzzerSeries};

@@ -586,6 +586,7 @@ impl Campaign {
 
         let mut queue: Vec<TestCase> = Vec::new();
         let mut base_counter = 0u64;
+        let mut filter_nanos = 0u64;
 
         while (report.cases_run as usize) < self.config.max_cases {
             if self.config.cancel.is_cancelled() {
@@ -768,7 +769,15 @@ impl Campaign {
                             engine: dev_rec.engine.as_str().to_string(),
                             kind: dev_rec.kind.to_string(),
                         });
+                        // Filter time is the deviation's handling minus the
+                        // reduction interval the Reduction stage records.
+                        let filter_start = std::time::Instant::now();
+                        let reduce_before = self.metrics.stage(Stage::Reduction).wall_nanos;
                         self.process_deviation(&case, &dev_rec, &mut tree, &dev, &mut report);
+                        let reduce_nanos =
+                            self.metrics.stage(Stage::Reduction).wall_nanos - reduce_before;
+                        filter_nanos +=
+                            (filter_start.elapsed().as_nanos() as u64).saturating_sub(reduce_nanos);
                     }
                 }
             }
@@ -788,7 +797,7 @@ impl Campaign {
         self.metrics.stage_mut(Stage::Filter).record(
             filter_stats.observed,
             filter_stats.duplicates,
-            0,
+            filter_nanos,
         );
         for stage in Stage::ALL {
             let s = *self.metrics.stage(stage);
@@ -1100,6 +1109,7 @@ fn engine_triage_rates(engine: EngineName) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::report_checksum;
 
     fn tiny_config() -> CampaignConfig {
         // Seed chosen so the 120-case stream actually trips seeded engine
@@ -1136,6 +1146,17 @@ mod tests {
         let before = keys.len();
         keys.dedup();
         assert_eq!(before, keys.len(), "bug reports must be dedup'd");
+    }
+
+    #[test]
+    fn filter_stage_records_wall_time_outside_the_deterministic_view() {
+        let report = Campaign::new(tiny_config()).run();
+        assert!(report.metrics.bugs_reported + report.metrics.bugs_deduped > 0);
+        assert!(report.metrics.stage(Stage::Filter).wall_nanos > 0);
+        let mut untimed = report.clone();
+        untimed.metrics.stage_mut(Stage::Filter).wall_nanos = 0;
+        assert_eq!(untimed.metrics.without_wall_clock(), report.metrics.without_wall_clock());
+        assert_eq!(report_checksum(&untimed), report_checksum(&report));
     }
 
     #[test]

@@ -719,8 +719,10 @@ pub fn report_to_json_deterministic(report: &CampaignReport) -> String {
 ///
 /// Two runs of the same workload — at any thread count, fresh or resumed —
 /// produce the same checksum if and only if their reports agree in every
-/// deterministic field. The `comfort-bench` harness embeds it in
-/// `BENCH_*.json` to prove the timed sweep measured bit-identical work.
+/// deterministic field. The benchmark checks every timed report against it,
+/// and `perfbench/tests/determinism.rs` pins the seed-6 `oneshot` spec
+/// (`perfbench/src/workload.rs`) to `a92f73d7d5a0c004` through the library,
+/// daemon-thread and fleet paths.
 pub fn report_checksum(report: &CampaignReport) -> u64 {
     let mut fp = Fingerprint::new();
     fp.mix_str(&report_to_json_deterministic(report));

@@ -4,7 +4,7 @@
 //!
 //! All renderers go through one [`Table`] builder so every plain-text
 //! report in the workspace (paper tables, stage metrics, testbed health,
-//! resume, and the `comfort-bench` bench/diff reports) shares one layout.
+//! resume) shares one layout.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -10,9 +10,10 @@
 //!
 //! The session owns the trained generator and testbed matrix (built
 //! lazily, once), so sweeping thread counts with
-//! [`run_with_threads`](CampaignSession::run_with_threads) — as the
-//! `comfort-bench` harness does — trains the language model a single time
-//! and re-runs the identical workload at each width. The determinism
+//! [`run_with_threads`](CampaignSession::run_with_threads) trains the
+//! language model a single time and re-runs the identical workload at each
+//! width; perfbench's `steady` workload repeats trained sessions this way
+//! (`perfbench/src/workload.rs`). The determinism
 //! contract carries over unchanged: reports are **bit-identical** in every
 //! deterministic field at any thread count.
 

@@ -15,12 +15,14 @@ use comfort_interp::ApiFootprint;
 use comfort_lm::GeneratorConfig;
 use proptest::prelude::*;
 
-/// The BENCH_7 baseline checksum for the seed-6 workload: the harness
-/// measured the full-matrix executor producing exactly this report. Dedup
-/// must reproduce it bit-for-bit.
+/// The pinned checksum of the seed-6 workload: the full-matrix executor
+/// produces exactly this report, and `perfbench/tests/determinism.rs` pins
+/// the same value through the library, daemon-thread and fleet paths.
+/// Dedup must reproduce it bit-for-bit.
 const SEED6_CHECKSUM: &str = "a92f73d7d5a0c004";
 
-/// The seed-6 bench workload, mirroring `comfort_bench::harness::workload`.
+/// The seed-6 bench workload, mirroring perfbench's `oneshot` spec
+/// (`perfbench/src/workload.rs`).
 fn seed6_config() -> CampaignConfig {
     CampaignConfig {
         seed: 6,
@@ -49,7 +51,7 @@ fn seed6_checksum_matches_bench7_baseline_at_every_thread_count() {
         assert_eq!(
             format!("{:016x}", report_checksum(&report)),
             SEED6_CHECKSUM,
-            "dedup-on report drifted from the BENCH_7 baseline at {threads} threads"
+            "dedup-on report drifted from the pinned seed-6 checksum at {threads} threads"
         );
         assert!(
             report.metrics.executions_saved > 0,
