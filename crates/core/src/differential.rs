@@ -172,58 +172,6 @@ pub fn run_differential(
     vote_on_signatures(testbeds, &signatures)
 }
 
-/// Like [`run_differential`], but fans the per-testbed runs out across up
-/// to `threads` workers. Signatures are collected by testbed index before
-/// voting, so the outcome is **bit-identical at every thread count**
-/// (`threads <= 1` is exactly the serial path).
-pub fn run_differential_pooled(
-    program: &Program,
-    testbeds: &[Testbed],
-    options: &RunOptions,
-    threads: usize,
-) -> CaseOutcome {
-    // One compile per case; workers share the chunk read-only.
-    let chunk = compile(program);
-    let signatures = if threads <= 1 || testbeds.len() < 2 {
-        testbed_signatures(&chunk, testbeds, options)
-    } else {
-        parallel_signatures(&chunk, testbeds, options, threads)
-    };
-    vote_on_signatures(testbeds, &signatures)
-}
-
-/// Computes the per-testbed signatures on a scoped worker pool. Workers
-/// claim testbed indices from a shared atomic counter; each index is
-/// claimed exactly once, so its slot is written exactly once — a per-slot
-/// `OnceLock` gives lock-free writes with no per-case mutex pool.
-fn parallel_signatures(
-    chunk: &Arc<CompiledChunk>,
-    testbeds: &[Testbed],
-    options: &RunOptions,
-    threads: usize,
-) -> Vec<Signature> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::OnceLock;
-
-    let slots: Vec<OnceLock<Signature>> = testbeds.iter().map(|_| OnceLock::new()).collect();
-    let next = AtomicUsize::new(0);
-    let workers = threads.min(testbeds.len());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= testbeds.len() {
-                    break;
-                }
-                let r = testbeds[i].run_compiled(chunk, options);
-                let set = slots[i].set(Signature::of(&r.status, &r.output));
-                debug_assert!(set.is_ok(), "slot {i} claimed twice");
-            });
-        }
-    });
-    slots.into_iter().map(|slot| slot.into_inner().expect("every slot was claimed")).collect()
-}
-
 /// Partition of a testbed matrix into behaviour-equivalence classes for one
 /// chunk: `rep[i]` is the slot whose execution testbed `i` reuses
 /// (`rep[i] == i` for class representatives and singletons).

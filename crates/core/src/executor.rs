@@ -19,8 +19,8 @@
 //!
 //! Inside each shard, the per-case testbed matrix is fanned out across the
 //! remaining thread budget too (see
-//! [`run_differential_pooled`](crate::differential::run_differential_pooled)),
-//! which keeps the pool busy even when a plan has fewer shards than workers.
+//! [`run_case_hardened`](crate::resilience::run_case_hardened)), which keeps
+//! the pool busy even when a plan has fewer shards than workers.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

@@ -4,14 +4,14 @@
 //! The VM's contract is **bit-identical observables** — status, output,
 //! fuel accounting, coverage hits — on every program, at every thread
 //! width. These tests sweep the training corpus and ECMA-guided mutants,
-//! drive the pooled differential harness at widths 1/2/8, and pin the
+//! drive the hardened per-case harness at widths 1/2/8, and pin the
 //! acceptance criterion: a full seed-6 campaign produces checksum-equal
 //! reports under both backends.
 
 use comfort_core::campaign::{Campaign, CampaignConfig};
 use comfort_core::checkpoint::report_checksum;
 use comfort_core::datagen::{DataGen, DataGenConfig};
-use comfort_core::differential::run_differential_pooled;
+use comfort_core::resilience::{run_case_hardened, ExecPolicy, HealthTracker};
 use comfort_engines::{latest_testbeds, Backend, RunOptions};
 use comfort_interp::{compile, hooks::SpecProfile, run_chunk};
 use comfort_lm::GeneratorConfig;
@@ -62,8 +62,9 @@ fn ecma_mutants_backends_agree() {
 }
 
 #[test]
-fn pooled_differential_agrees_across_backends_and_widths() {
+fn hardened_differential_agrees_across_backends_and_widths() {
     let testbeds = latest_testbeds();
+    let policy = ExecPolicy::default();
     for seed in 0..30u64 {
         let src = comfort_corpus::training_corpus(seed, 1).remove(0);
         let program = parse(&src).expect("corpus parses");
@@ -71,7 +72,16 @@ fn pooled_differential_agrees_across_backends_and_widths() {
         for backend in [Backend::Bytecode, Backend::TreeWalk] {
             let options = RunOptions { fuel: 300_000, backend, ..RunOptions::default() };
             for threads in [1, 2, 8] {
-                outcomes.push(run_differential_pooled(&program, &testbeds, &options, threads));
+                let mut tracker = HealthTracker::new(&testbeds, policy.quarantine_after);
+                let obs = run_case_hardened(
+                    &program,
+                    &testbeds,
+                    &options,
+                    threads,
+                    &policy,
+                    &mut tracker,
+                );
+                outcomes.push(obs.outcome);
             }
         }
         let first = &outcomes[0];

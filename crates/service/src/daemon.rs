@@ -25,10 +25,11 @@
 //!   checkpoint, and shuts the pool down cleanly — journalled campaigns
 //!   resume in the next daemon life with bit-identical final reports.
 //!
-//! Every scheduling decision is emitted as a typed service event (on
-//! [`SERVICE_SHARD`](comfort_telemetry::SERVICE_SHARD)) *and* counted in
-//! [`ServiceMetrics`]; the two ledgers reconcile exactly (see
-//! [`MetricsSnapshot::from_events`](crate::metrics::MetricsSnapshot::from_events)).
+//! Every scheduling decision is recorded once, as a typed service event on
+//! [`SERVICE_SHARD`](comfort_telemetry::SERVICE_SHARD). The service
+//! counters ([`Daemon::metrics`]) are a fold over exactly those events,
+//! taken under the lock that emits them (see
+//! [`MetricsSnapshot::observe`](crate::metrics::MetricsSnapshot::observe)).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -48,7 +49,7 @@ use comfort_telemetry::{
 
 use crate::fleet::{ChildFate, ProcessJail, WorkerArgs, WorkerChild};
 use crate::lease::{Claim, LeaseTable, Transition};
-use crate::metrics::{MetricsSnapshot, ServiceMetrics};
+use crate::metrics::MetricsSnapshot;
 use crate::spec::CampaignSpec;
 use crate::worker::WorkerError;
 
@@ -58,7 +59,6 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<CampaignSession>();
     assert_send_sync::<LeaseTable>();
-    assert_send_sync::<ServiceMetrics>();
 };
 
 /// Daemon-level tuning knobs.
@@ -340,8 +340,9 @@ enum ChildOutcome {
 
 struct DaemonShared {
     cfg: ServiceConfig,
-    metrics: ServiceMetrics,
-    recorder: Mutex<Recorder>,
+    /// The service event recorder and the counters folded from the events
+    /// it emitted. A leaf lock: no other daemon lock is taken while it is held.
+    service: Mutex<(Recorder, MetricsSnapshot)>,
     campaigns: Mutex<Vec<Arc<CampaignEntry>>>,
     next_id: AtomicU64,
     rotation: AtomicU64,
@@ -363,8 +364,13 @@ struct DaemonShared {
 }
 
 impl DaemonShared {
+    /// Folds one service event into the counters and emits it, under one
+    /// lock, so the counters never run ahead of or behind the sink.
     fn emit_service(&self, kind: EventKind) {
-        self.recorder.lock().expect("service recorder poisoned").emit(kind);
+        let mut service = self.service.lock().expect("service ledger poisoned");
+        let (recorder, metrics) = &mut *service;
+        metrics.observe(&kind);
+        recorder.emit(kind);
     }
 
     fn wake_workers(&self) {
@@ -372,7 +378,7 @@ impl DaemonShared {
         self.bell.notify_all();
     }
 
-    /// Journals and emits one lease transition, bumping its metric.
+    /// Journals and emits one lease transition.
     fn record_lease(&self, entry: &CampaignEntry, action: LeaseAction, t: &Transition) {
         if let Some(journal) = entry.ledger.journal() {
             let _ = journal.append_lease(&LeaseRecord {
@@ -387,40 +393,21 @@ impl DaemonShared {
         let campaign = entry.id.clone();
         let lease_shard = t.shard as u64;
         let worker = t.holder.clone();
-        let (kind, counter) = match action {
-            LeaseAction::Acquired => (
-                EventKind::LeaseAcquired {
-                    campaign,
-                    lease_shard,
-                    worker,
-                    ttl_millis: t.ttl_millis,
-                },
-                &self.metrics.leases_acquired,
-            ),
-            LeaseAction::Renewed => (
-                EventKind::LeaseRenewed { campaign, lease_shard, worker },
-                &self.metrics.leases_renewed,
-            ),
-            LeaseAction::Released => (
-                EventKind::LeaseReleased { campaign, lease_shard, worker },
-                &self.metrics.leases_released,
-            ),
-            LeaseAction::Expired => (
-                EventKind::LeaseExpired { campaign, lease_shard, worker },
-                &self.metrics.leases_expired,
-            ),
-            LeaseAction::Reclaimed => (
-                EventKind::LeaseReclaimed {
-                    campaign,
-                    lease_shard,
-                    worker,
-                    reclaims: t.reclaims as u64,
-                },
-                &self.metrics.leases_reclaimed,
-            ),
+        let kind = match action {
+            LeaseAction::Acquired => {
+                EventKind::LeaseAcquired { campaign, lease_shard, worker, ttl_millis: t.ttl_millis }
+            }
+            LeaseAction::Renewed => EventKind::LeaseRenewed { campaign, lease_shard, worker },
+            LeaseAction::Released => EventKind::LeaseReleased { campaign, lease_shard, worker },
+            LeaseAction::Expired => EventKind::LeaseExpired { campaign, lease_shard, worker },
+            LeaseAction::Reclaimed => EventKind::LeaseReclaimed {
+                campaign,
+                lease_shard,
+                worker,
+                reclaims: t.reclaims as u64,
+            },
         };
         self.emit_service(kind);
-        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Fair-share selection: tenants rotate in first-seen order, and within
@@ -604,8 +591,8 @@ impl DaemonShared {
             | ChildOutcome::LostLease
             | ChildOutcome::Cancelled
             | ChildOutcome::SpawnFailed => {}
-            ChildOutcome::Died(signal) => {
-                self.on_child_death(entry, worker, claim, signal, jail, &spec_path);
+            ChildOutcome::Died(_) => {
+                self.on_child_death(entry, worker, claim, jail, &spec_path);
             }
             ChildOutcome::FailedExit(code, stderr) => {
                 entry.leases.abandon(claim.shard, claim.lease_seq);
@@ -625,7 +612,6 @@ impl DaemonShared {
         entry: &Arc<CampaignEntry>,
         worker: &str,
         claim: &Claim,
-        signal: i32,
         jail: &ProcessJail,
         spec_path: &Path,
     ) {
@@ -643,7 +629,7 @@ impl DaemonShared {
             self.degrade_pool(storm);
         }
         if deaths >= jail.poison_after {
-            self.handle_poison(entry, worker, claim.shard, deaths, signal, jail, spec_path);
+            self.handle_poison(entry, worker, claim.shard, deaths, jail, spec_path);
         } else {
             // Exponential respawn backoff per consecutive death on this
             // shard, so a hot crash loop cannot saturate the fleet.
@@ -681,7 +667,6 @@ impl DaemonShared {
             lease_shard: claim.shard as u64,
             pid: child.pid as u64,
         });
-        self.metrics.workers_spawned.fetch_add(1, Ordering::Relaxed);
         self.workers_active.fetch_add(1, Ordering::SeqCst);
         let progress = entry.ledger.progress();
         progress.shard_started(claim.shard);
@@ -731,7 +716,6 @@ impl DaemonShared {
                             lease_shard: claim.shard as u64,
                             signal: sig as u64,
                         });
-                        self.metrics.workers_died.fetch_add(1, Ordering::Relaxed);
                     }
                     _ => {
                         // Beat the kill to the exit: a completed child's
@@ -759,7 +743,6 @@ impl DaemonShared {
                     lease_shard: claim.shard as u64,
                     signal: signal as u64,
                 });
-                self.metrics.workers_died.fetch_add(1, Ordering::Relaxed);
                 self.workers_active.fetch_sub(1, Ordering::SeqCst);
                 ChildOutcome::Died(signal)
             }
@@ -832,14 +815,12 @@ impl DaemonShared {
     /// localize the lethal case, then rescue the shard in a *contained*
     /// (non-jailed) child so the case lands in the report as a `Crashed`
     /// outcome — bit-identical to what an in-process run records.
-    #[allow(clippy::too_many_arguments)]
     fn handle_poison(
         &self,
         entry: &Arc<CampaignEntry>,
         worker: &str,
         shard: usize,
         deaths: u64,
-        last_signal: i32,
         jail: &ProcessJail,
         spec_path: &Path,
     ) {
@@ -889,7 +870,6 @@ impl DaemonShared {
             }
         }
         let poison_case = (lo - 1) as u64;
-        let _ = last_signal; // the probe's signal is the authoritative one
         self.emit_service(EventKind::ShardPoisoned {
             campaign: entry.id.clone(),
             lease_shard: shard as u64,
@@ -897,7 +877,6 @@ impl DaemonShared {
             poison_case,
             signal: fatal as u64,
         });
-        self.metrics.shards_poisoned.fetch_add(1, Ordering::Relaxed);
         // Rescue: one more directed run, contained instead of jailed. The
         // lethal case unwinds through the harness's panic boundary into a
         // `Crashed` outcome, and the shard commits normally.
@@ -965,88 +944,80 @@ impl DaemonShared {
                 to_workers: to as u64,
                 consecutive_deaths: consecutive,
             });
-            self.metrics.pool_degradations.fetch_add(1, Ordering::Relaxed);
         }
         self.consecutive_deaths.store(0, Ordering::SeqCst);
     }
 
+    /// Fails a campaign. The failure message and the `CampaignFinished`
+    /// event land before the state lock is released, so anyone who sees the
+    /// `Failed` state also sees both.
     fn fail_campaign(&self, entry: &Arc<CampaignEntry>, message: String) {
         {
             let mut state = entry.state.lock().expect("campaign state poisoned");
             if state.is_terminal() {
                 return;
             }
+            *entry.failure.lock().expect("failure poisoned") = Some(message);
             *state = CampaignState::Failed;
+            let (done, _, _) = entry.leases.counts();
+            self.emit_service(EventKind::CampaignFinished {
+                campaign: entry.id.clone(),
+                outcome: "failed".to_string(),
+                shards_run: done as u64,
+            });
         }
-        *entry.failure.lock().expect("failure poisoned") = Some(message);
         entry.cancel.cancel();
-        let (done, _, _) = entry.leases.counts();
-        self.emit_service(EventKind::CampaignFinished {
-            campaign: entry.id.clone(),
-            outcome: "failed".to_string(),
-            shards_run: done as u64,
-        });
-        self.metrics.campaigns_failed.fetch_add(1, Ordering::Relaxed);
         self.wake_workers();
     }
 
     /// Completes or cancels a campaign when its leases say so. The merge
-    /// runs under the state lock, so exactly one caller finalizes.
+    /// and the `CampaignFinished` event both happen under the state lock, so
+    /// exactly one caller finalizes, and the event is counted before the
+    /// terminal state is observable.
     fn maybe_finalize(&self, entry: &Arc<CampaignEntry>) {
-        let finished: Option<(&'static str, u64)> = {
-            let mut state = entry.state.lock().expect("campaign state poisoned");
-            // Ledger barrier: read the lease table *before* the settling
-            // count. If this observer sees the state a mid-commit worker
-            // produced (Done / no longer Held), the worker's `SettleGuard`
-            // arm is visible too, so `settling > 0` and we defer — the
-            // worker re-runs finalization right after its `Released`
-            // record (and the supervisor heartbeat retries every tick).
-            // This keeps "terminal campaign" ⇒ "balanced lease ledger".
-            if state.is_terminal() {
-                None
-            } else if entry.leases.all_done() {
-                if entry.settling.load(Ordering::SeqCst) > 0 {
-                    return;
-                }
-                let merged = entry.ledger.finish();
-                let shards_total = entry.ledger.plan().len() as u64;
-                let rerun = merged.resume.as_ref().map_or(shards_total, |r| r.shards_rerun);
-                let checksum = report_checksum(&merged);
-                *entry.final_report.lock().expect("final report poisoned") =
-                    Some((merged, checksum));
-                *state = CampaignState::Completed;
-                Some(("completed", rerun))
-            } else if entry.cancel.is_cancelled() && entry.leases.counts().1 == 0 {
-                if entry.settling.load(Ordering::SeqCst) > 0 {
-                    return;
-                }
-                // Nothing in flight and nothing will be leased again: merge
-                // what completed and flag it, exactly like the library path.
-                let completed = entry.leases.counts().0 as u64;
-                let merged = entry.ledger.finish();
-                let checksum = report_checksum(&merged);
-                *entry.final_report.lock().expect("final report poisoned") =
-                    Some((merged, checksum));
-                *state = CampaignState::Cancelled;
-                Some((entry.cancel.reason(), completed))
-            } else {
-                None
+        let mut state = entry.state.lock().expect("campaign state poisoned");
+        // Ledger barrier: read the lease table *before* the settling
+        // count. If this observer sees the state a mid-commit worker
+        // produced (Done / no longer Held), the worker's `SettleGuard`
+        // arm is visible too, so `settling > 0` and we defer — the
+        // worker re-runs finalization right after its `Released`
+        // record (and the supervisor heartbeat retries every tick).
+        // This keeps "terminal campaign" ⇒ "balanced lease ledger".
+        let (outcome, shards_run) = if state.is_terminal() {
+            return;
+        } else if entry.leases.all_done() {
+            if entry.settling.load(Ordering::SeqCst) > 0 {
+                return;
             }
+            let merged = entry.ledger.finish();
+            let shards_total = entry.ledger.plan().len() as u64;
+            let rerun = merged.resume.as_ref().map_or(shards_total, |r| r.shards_rerun);
+            let checksum = report_checksum(&merged);
+            *entry.final_report.lock().expect("final report poisoned") = Some((merged, checksum));
+            *state = CampaignState::Completed;
+            ("completed", rerun)
+        } else if entry.cancel.is_cancelled() && entry.leases.counts().1 == 0 {
+            if entry.settling.load(Ordering::SeqCst) > 0 {
+                return;
+            }
+            // Nothing in flight and nothing will be leased again: merge
+            // what completed and flag it, exactly like the library path.
+            let completed = entry.leases.counts().0 as u64;
+            let merged = entry.ledger.finish();
+            let checksum = report_checksum(&merged);
+            *entry.final_report.lock().expect("final report poisoned") = Some((merged, checksum));
+            *state = CampaignState::Cancelled;
+            (entry.cancel.reason(), completed)
+        } else {
+            return;
         };
-        if let Some((outcome, shards_run)) = finished {
-            self.emit_service(EventKind::CampaignFinished {
-                campaign: entry.id.clone(),
-                outcome: outcome.to_string(),
-                shards_run,
-            });
-            let counter = if outcome == "completed" {
-                &self.metrics.campaigns_completed
-            } else {
-                &self.metrics.campaigns_cancelled
-            };
-            counter.fetch_add(1, Ordering::Relaxed);
-            self.wake_workers();
-        }
+        self.emit_service(EventKind::CampaignFinished {
+            campaign: entry.id.clone(),
+            outcome: outcome.to_string(),
+            shards_run,
+        });
+        drop(state);
+        self.wake_workers();
     }
 
     /// One supervisor heartbeat over every live campaign. Each campaign
@@ -1135,15 +1106,17 @@ impl Daemon {
         } else {
             cfg.workers
         };
-        let recorder = Mutex::new(Recorder::new(cfg.sink.clone(), SERVICE_SHARD));
+        let service = Mutex::new((
+            Recorder::new(cfg.sink.clone(), SERVICE_SHARD),
+            MetricsSnapshot::default(),
+        ));
         let monkey_kills = match &cfg.isolation {
             IsolationMode::Processes(jail) => jail.storm_kills,
             IsolationMode::InProcess => 0,
         };
         let shared = Arc::new(DaemonShared {
             cfg,
-            metrics: ServiceMetrics::default(),
-            recorder,
+            service,
             campaigns: Mutex::new(Vec::new()),
             next_id: AtomicU64::new(1),
             rotation: AtomicU64::new(0),
@@ -1200,7 +1173,6 @@ impl Daemon {
                 reason: reason.to_string(),
                 retry_after_millis,
             });
-            shared.metrics.campaigns_rejected.fetch_add(1, Ordering::Relaxed);
             Err(Rejection { reason: reason.to_string(), message, retry_after_millis })
         };
         if shared.draining.load(Ordering::SeqCst) || shared.shutdown.load(Ordering::SeqCst) {
@@ -1260,7 +1232,6 @@ impl Daemon {
             tenant: spec.tenant.clone(),
             shards,
         });
-        shared.metrics.campaigns_admitted.fetch_add(1, Ordering::Relaxed);
         // A fully-salvaged resubmission needs no worker at all.
         shared.maybe_finalize(&entry);
         shared.wake_workers();
@@ -1335,9 +1306,10 @@ impl Daemon {
         self.shared.draining.load(Ordering::SeqCst)
     }
 
-    /// A frozen reading of the service counters.
+    /// A frozen reading of the service counters, folded from every service
+    /// event emitted so far.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared.metrics.snapshot()
+        self.shared.service.lock().expect("service ledger poisoned").1
     }
 
     /// Shards currently under lease across every campaign (the `still_held`
@@ -1395,7 +1367,6 @@ impl Daemon {
         let active = self.campaigns_active();
         self.shared.draining.store(true, Ordering::SeqCst);
         self.shared.emit_service(EventKind::DrainStarted { active_campaigns: active });
-        self.shared.metrics.drains_started.fetch_add(1, Ordering::Relaxed);
         self.shared.wake_workers();
         for worker in self.workers.lock().expect("worker pool poisoned").drain(..) {
             let _ = worker.join();
@@ -1523,7 +1494,6 @@ fn build_entry(
                     worker: lease.worker.clone(),
                     ttl_millis: lease.ttl_millis,
                 });
-                shared.metrics.leases_acquired.fetch_add(1, Ordering::Relaxed);
             }
         }
     }

@@ -16,8 +16,8 @@
 //! * [`spec`] — the JSON campaign submission format;
 //! * [`wire`] / [`server`] / [`client`] — the length-prefixed JSON
 //!   control protocol over a Unix socket;
-//! * [`metrics`] — service counters and their event-stream conservation
-//!   contract;
+//! * [`metrics`] — service counters, folded from the daemon's service
+//!   events, and their conservation checks;
 //! * [`fleet`] — process-isolation primitives: jailed worker children,
 //!   capped capture, signal/exit classification;
 //! * [`worker`] — the single-shot out-of-process shard worker
@@ -37,7 +37,7 @@ pub use client::Client;
 pub use daemon::{CampaignState, CampaignStatus, Daemon, IsolationMode, Rejection, ServiceConfig};
 pub use fleet::{ChildFate, ProcessJail};
 pub use lease::{Claim, LeaseTable, ShardLease, ShardPhase};
-pub use metrics::{MetricsSnapshot, ServiceMetrics};
+pub use metrics::MetricsSnapshot;
 pub use server::Server;
 pub use spec::{CampaignSpec, ChaosSpec};
 pub use wire::Request;

@@ -1,75 +1,16 @@
-//! Service-plane metrics and their conservation contract.
+//! Service-plane metrics: a fold over the daemon's own service events.
 //!
-//! Every scheduling decision the daemon makes is emitted **twice**: as a
-//! typed service event ([`EventKind`](comfort_telemetry::EventKind)
-//! variants on the `SERVICE_SHARD` pseudo-shard) and as a counter bump
-//! here. [`MetricsSnapshot::from_events`] rebuilds a snapshot from the
-//! event stream alone, so a test can assert the two ledgers reconcile
-//! *exactly* — the same conservation style the campaign metrics use.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! Every scheduling decision the daemon makes is recorded **once**, as a
+//! typed service event ([`EventKind`] variants on the `SERVICE_SHARD`
+//! pseudo-shard). The counters are not a second ledger: the daemon folds
+//! each event into its [`MetricsSnapshot`] with [`MetricsSnapshot::observe`]
+//! under the same lock that emits it, and [`MetricsSnapshot::from_events`]
+//! folds a recorded stream the same way. The conservation checks below then
+//! balance the folded counts against the daemon's live occupancy.
 
 use comfort_telemetry::{Event, EventKind};
 
-/// Monotonic counters for every service-plane decision.
-#[derive(Debug, Default)]
-pub struct ServiceMetrics {
-    /// Leases handed to workers.
-    pub leases_acquired: AtomicU64,
-    /// Heartbeat renewals of in-flight leases.
-    pub leases_renewed: AtomicU64,
-    /// Leases released after a committed shard.
-    pub leases_released: AtomicU64,
-    /// Leases whose TTL lapsed without progress.
-    pub leases_expired: AtomicU64,
-    /// Expired leases returned to the pending pool.
-    pub leases_reclaimed: AtomicU64,
-    /// Campaigns admitted past backpressure.
-    pub campaigns_admitted: AtomicU64,
-    /// Campaigns rejected by admission control.
-    pub campaigns_rejected: AtomicU64,
-    /// Campaigns that merged a complete report.
-    pub campaigns_completed: AtomicU64,
-    /// Campaigns cancelled (explicitly or by deadline).
-    pub campaigns_cancelled: AtomicU64,
-    /// Campaigns failed at the supervisor's panic boundary.
-    pub campaigns_failed: AtomicU64,
-    /// Graceful drains initiated.
-    pub drains_started: AtomicU64,
-    /// Jailed worker processes spawned by the fleet supervisor.
-    pub workers_spawned: AtomicU64,
-    /// Worker processes that died by signal.
-    pub workers_died: AtomicU64,
-    /// Shards quarantined after killing workers repeatedly.
-    pub shards_poisoned: AtomicU64,
-    /// Crash-storm breaker trips that narrowed the pool.
-    pub pool_degradations: AtomicU64,
-}
-
-impl ServiceMetrics {
-    /// A point-in-time copy of every counter.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            leases_acquired: self.leases_acquired.load(Ordering::Relaxed),
-            leases_renewed: self.leases_renewed.load(Ordering::Relaxed),
-            leases_released: self.leases_released.load(Ordering::Relaxed),
-            leases_expired: self.leases_expired.load(Ordering::Relaxed),
-            leases_reclaimed: self.leases_reclaimed.load(Ordering::Relaxed),
-            campaigns_admitted: self.campaigns_admitted.load(Ordering::Relaxed),
-            campaigns_rejected: self.campaigns_rejected.load(Ordering::Relaxed),
-            campaigns_completed: self.campaigns_completed.load(Ordering::Relaxed),
-            campaigns_cancelled: self.campaigns_cancelled.load(Ordering::Relaxed),
-            campaigns_failed: self.campaigns_failed.load(Ordering::Relaxed),
-            drains_started: self.drains_started.load(Ordering::Relaxed),
-            workers_spawned: self.workers_spawned.load(Ordering::Relaxed),
-            workers_died: self.workers_died.load(Ordering::Relaxed),
-            shards_poisoned: self.shards_poisoned.load(Ordering::Relaxed),
-            pool_degradations: self.pool_degradations.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A frozen [`ServiceMetrics`] reading.
+/// Counts of every service-plane decision, folded from service events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MetricsSnapshot {
     /// Leases handed to workers.
@@ -105,31 +46,36 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Rebuilds a snapshot by counting typed service events — the other
-    /// half of the conservation contract. Non-service events are ignored.
+    /// Counts one event into the counter its kind stands for.
+    /// Non-service events are ignored.
+    pub fn observe(&mut self, kind: &EventKind) {
+        match kind {
+            EventKind::LeaseAcquired { .. } => self.leases_acquired += 1,
+            EventKind::LeaseRenewed { .. } => self.leases_renewed += 1,
+            EventKind::LeaseReleased { .. } => self.leases_released += 1,
+            EventKind::LeaseExpired { .. } => self.leases_expired += 1,
+            EventKind::LeaseReclaimed { .. } => self.leases_reclaimed += 1,
+            EventKind::CampaignAdmitted { .. } => self.campaigns_admitted += 1,
+            EventKind::CampaignRejected { .. } => self.campaigns_rejected += 1,
+            EventKind::CampaignFinished { outcome, .. } => match outcome.as_str() {
+                "completed" => self.campaigns_completed += 1,
+                "failed" => self.campaigns_failed += 1,
+                _ => self.campaigns_cancelled += 1,
+            },
+            EventKind::DrainStarted { .. } => self.drains_started += 1,
+            EventKind::WorkerSpawned { .. } => self.workers_spawned += 1,
+            EventKind::WorkerDied { .. } => self.workers_died += 1,
+            EventKind::ShardPoisoned { .. } => self.shards_poisoned += 1,
+            EventKind::PoolDegraded { .. } => self.pool_degradations += 1,
+            _ => {}
+        }
+    }
+
+    /// Folds a recorded event stream with [`observe`](Self::observe).
     pub fn from_events<'a>(events: impl IntoIterator<Item = &'a Event>) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
         for event in events {
-            match &event.kind {
-                EventKind::LeaseAcquired { .. } => snap.leases_acquired += 1,
-                EventKind::LeaseRenewed { .. } => snap.leases_renewed += 1,
-                EventKind::LeaseReleased { .. } => snap.leases_released += 1,
-                EventKind::LeaseExpired { .. } => snap.leases_expired += 1,
-                EventKind::LeaseReclaimed { .. } => snap.leases_reclaimed += 1,
-                EventKind::CampaignAdmitted { .. } => snap.campaigns_admitted += 1,
-                EventKind::CampaignRejected { .. } => snap.campaigns_rejected += 1,
-                EventKind::CampaignFinished { outcome, .. } => match outcome.as_str() {
-                    "completed" => snap.campaigns_completed += 1,
-                    "failed" => snap.campaigns_failed += 1,
-                    _ => snap.campaigns_cancelled += 1,
-                },
-                EventKind::DrainStarted { .. } => snap.drains_started += 1,
-                EventKind::WorkerSpawned { .. } => snap.workers_spawned += 1,
-                EventKind::WorkerDied { .. } => snap.workers_died += 1,
-                EventKind::ShardPoisoned { .. } => snap.shards_poisoned += 1,
-                EventKind::PoolDegraded { .. } => snap.pool_degradations += 1,
-                _ => {}
-            }
+            snap.observe(&event.kind);
         }
         snap
     }
@@ -197,48 +143,97 @@ mod tests {
         Event { clock, kind }
     }
 
+    /// The 15 counters, in declaration order.
+    fn counts(m: &MetricsSnapshot) -> [u64; 15] {
+        [
+            m.leases_acquired,
+            m.leases_renewed,
+            m.leases_released,
+            m.leases_expired,
+            m.leases_reclaimed,
+            m.campaigns_admitted,
+            m.campaigns_rejected,
+            m.campaigns_completed,
+            m.campaigns_cancelled,
+            m.campaigns_failed,
+            m.drains_started,
+            m.workers_spawned,
+            m.workers_died,
+            m.shards_poisoned,
+            m.pool_degradations,
+        ]
+    }
+
     #[test]
-    fn snapshot_reconciles_with_the_event_stream() {
-        let metrics = ServiceMetrics::default();
-        let mut events = Vec::new();
-        metrics.leases_acquired.fetch_add(2, Ordering::Relaxed);
-        for _ in 0..2 {
-            events.push(service_event(EventKind::LeaseAcquired {
-                campaign: "c-1".into(),
-                lease_shard: 0,
-                worker: "w-0".into(),
-                ttl_millis: 100,
-            }));
+    fn each_counted_event_raises_exactly_its_own_counter() {
+        let c = || "c".to_string();
+        let finished = |outcome: &str| EventKind::CampaignFinished {
+            campaign: c(),
+            outcome: outcome.to_string(),
+            shards_run: 1,
+        };
+        // (index into `counts`, an event of the kind that counts there).
+        let cases = [
+            (
+                0,
+                EventKind::LeaseAcquired {
+                    campaign: c(),
+                    lease_shard: 0,
+                    worker: c(),
+                    ttl_millis: 1,
+                },
+            ),
+            (1, EventKind::LeaseRenewed { campaign: c(), lease_shard: 0, worker: c() }),
+            (2, EventKind::LeaseReleased { campaign: c(), lease_shard: 0, worker: c() }),
+            (3, EventKind::LeaseExpired { campaign: c(), lease_shard: 0, worker: c() }),
+            (
+                4,
+                EventKind::LeaseReclaimed {
+                    campaign: c(),
+                    lease_shard: 0,
+                    worker: c(),
+                    reclaims: 1,
+                },
+            ),
+            (5, EventKind::CampaignAdmitted { campaign: c(), tenant: c(), shards: 1 }),
+            (6, EventKind::CampaignRejected { tenant: c(), reason: c(), retry_after_millis: 1 }),
+            (7, finished("completed")),
+            (8, finished("cancelled")),
+            (8, finished("deadline")),
+            (9, finished("failed")),
+            (10, EventKind::DrainStarted { active_campaigns: 0 }),
+            (11, EventKind::WorkerSpawned { campaign: c(), worker: c(), lease_shard: 0, pid: 1 }),
+            (12, EventKind::WorkerDied { campaign: c(), worker: c(), lease_shard: 0, signal: 9 }),
+            (
+                13,
+                EventKind::ShardPoisoned {
+                    campaign: c(),
+                    lease_shard: 0,
+                    deaths: 3,
+                    poison_case: 0,
+                    signal: 6,
+                },
+            ),
+            (14, EventKind::PoolDegraded { from_workers: 2, to_workers: 1, consecutive_deaths: 2 }),
+        ];
+        assert!((0..15).all(|i| cases.iter().any(|(counter, _)| *counter == i)));
+        // A non-zero base, so "unchanged" is not just "still 0".
+        let base = MetricsSnapshot { leases_renewed: 7, workers_died: 3, ..Default::default() };
+        for (counter, kind) in &cases {
+            let mut folded = base;
+            folded.observe(kind);
+            let mut expected = counts(&base);
+            expected[*counter] += 1;
+            assert_eq!(counts(&folded), expected, "{kind:?}");
         }
-        metrics.leases_released.fetch_add(1, Ordering::Relaxed);
-        events.push(service_event(EventKind::LeaseReleased {
-            campaign: "c-1".into(),
-            lease_shard: 0,
-            worker: "w-0".into(),
-        }));
-        metrics.leases_expired.fetch_add(1, Ordering::Relaxed);
-        events.push(service_event(EventKind::LeaseExpired {
-            campaign: "c-1".into(),
-            lease_shard: 1,
-            worker: "w-1".into(),
-        }));
-        metrics.leases_reclaimed.fetch_add(1, Ordering::Relaxed);
-        events.push(service_event(EventKind::LeaseReclaimed {
-            campaign: "c-1".into(),
-            lease_shard: 1,
-            worker: "w-1".into(),
-            reclaims: 1,
-        }));
-        metrics.campaigns_admitted.fetch_add(1, Ordering::Relaxed);
-        events.push(service_event(EventKind::CampaignAdmitted {
-            campaign: "c-1".into(),
-            tenant: "t".into(),
-            shards: 3,
-        }));
-        let snap = metrics.snapshot();
-        assert_eq!(snap, MetricsSnapshot::from_events(&events));
-        snap.leases_conserved(0).expect("lease ledger balances");
-        snap.campaigns_conserved(1).expect("campaign ledger balances");
+        // `from_events` is the same fold over a stream (two cancellations).
+        let stream: Vec<Event> = cases.into_iter().map(|(_, kind)| service_event(kind)).collect();
+        let mut once = [1; 15];
+        once[8] = 2;
+        assert_eq!(counts(&MetricsSnapshot::from_events(&stream)), once);
+        let mut quiet = base;
+        quiet.observe(&EventKind::CaseRejected { base: 0, kept: false });
+        assert_eq!(quiet, base, "campaign-plane events are not service decisions");
     }
 
     #[test]
@@ -254,63 +249,10 @@ mod tests {
     }
 
     #[test]
-    fn worker_lifecycle_counters_reconcile_and_conserve() {
-        let events = vec![
-            service_event(EventKind::WorkerSpawned {
-                campaign: "c".into(),
-                worker: "fleet-0".into(),
-                lease_shard: 0,
-                pid: 100,
-            }),
-            service_event(EventKind::WorkerSpawned {
-                campaign: "c".into(),
-                worker: "fleet-1".into(),
-                lease_shard: 1,
-                pid: 101,
-            }),
-            service_event(EventKind::WorkerDied {
-                campaign: "c".into(),
-                worker: "fleet-0".into(),
-                lease_shard: 0,
-                signal: 9,
-            }),
-            service_event(EventKind::ShardPoisoned {
-                campaign: "c".into(),
-                lease_shard: 0,
-                deaths: 3,
-                poison_case: 2,
-                signal: 6,
-            }),
-            service_event(EventKind::PoolDegraded {
-                from_workers: 4,
-                to_workers: 2,
-                consecutive_deaths: 6,
-            }),
-        ];
-        let snap = MetricsSnapshot::from_events(&events);
-        assert_eq!(snap.workers_spawned, 2);
-        assert_eq!(snap.workers_died, 1);
-        assert_eq!(snap.shards_poisoned, 1);
-        assert_eq!(snap.pool_degradations, 1);
+    fn worker_ledger_conserves() {
+        let snap = MetricsSnapshot { workers_spawned: 2, workers_died: 1, ..Default::default() };
         snap.workers_conserved(0, 1).expect("one died, one exited cleanly");
+        snap.workers_conserved(1, 0).expect("one died, one still running");
         assert!(snap.workers_conserved(0, 0).is_err(), "a spawned worker is unaccounted for");
-    }
-
-    #[test]
-    fn finished_outcomes_route_to_their_counters() {
-        let events: Vec<Event> = ["completed", "failed", "cancelled", "deadline"]
-            .iter()
-            .map(|o| {
-                service_event(EventKind::CampaignFinished {
-                    campaign: "c".into(),
-                    outcome: o.to_string(),
-                    shards_run: 1,
-                })
-            })
-            .collect();
-        let snap = MetricsSnapshot::from_events(&events);
-        assert_eq!(snap.campaigns_completed, 1);
-        assert_eq!(snap.campaigns_failed, 1);
-        assert_eq!(snap.campaigns_cancelled, 2);
     }
 }

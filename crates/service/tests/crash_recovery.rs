@@ -162,12 +162,10 @@ fn sigkilled_worker_is_reclaimed_and_resume_is_bit_identical_at_1_2_4_workers() 
         assert!(expired >= 1, "orphaned lease must expire (workers={workers})");
         assert_eq!(expired, reclaimed, "every expiry is reclaimed exactly once");
         let snap = daemon.metrics();
-        assert_eq!(snap.leases_expired, expired);
-        assert_eq!(snap.leases_reclaimed, reclaimed);
         assert_eq!(
             MetricsSnapshot::from_events(events.iter()),
             snap,
-            "event-derived counters diverge from live metrics"
+            "the sink's stream folds to different counters"
         );
         snap.leases_conserved(daemon.leases_held()).expect("lease ledger conserved");
         snap.campaigns_conserved(daemon.campaigns_active()).expect("campaign ledger conserved");

@@ -7,8 +7,9 @@
 //! every width: deaths force lease expiry and reclaim, repeatedly lethal
 //! shards are quarantined and bisected to the poison case, and the rescue
 //! run commits the shard with the identical contained `Crashed` outcome
-//! the baseline records. The worker lifecycle ledgers (events vs counters
-//! vs live gauges) must reconcile exactly throughout.
+//! the baseline records. The worker lifecycle ledger (counters folded from
+//! the service events vs live gauges) must balance throughout, and every
+//! counted event must have reached the sink.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -141,17 +142,10 @@ fn crash_storm_fleet_reports_are_bit_identical_to_in_process_at_1_2_4_workers() 
             snap.workers_died >= 2,
             "the monkey SIGKILLs two children; at least those must die (workers={workers})"
         );
-        let died_events =
-            events.iter().filter(|e| matches!(e.kind, EventKind::WorkerDied { .. })).count() as u64;
-        let spawned_events =
-            events.iter().filter(|e| matches!(e.kind, EventKind::WorkerSpawned { .. })).count()
-                as u64;
-        assert_eq!(spawned_events, snap.workers_spawned, "spawn events vs counter");
-        assert_eq!(died_events, snap.workers_died, "death events vs counter");
         assert_eq!(
             MetricsSnapshot::from_events(events.iter()),
             snap,
-            "event-derived counters diverge from live metrics (workers={workers})"
+            "the sink's stream folds to different counters (workers={workers})"
         );
 
         // Poison conservation: every quarantined shard must have ended in

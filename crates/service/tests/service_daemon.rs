@@ -1,7 +1,7 @@
 //! In-process integration tests for the campaign daemon: determinism of
 //! daemon-run campaigns against plain library runs, admission control,
-//! cancellation, panic isolation, journal resume, and the exact
-//! reconciliation of service metrics with the service event stream.
+//! cancellation, panic isolation, journal resume, and the service metrics
+//! as a fold over the service event stream that reached the sink.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -90,14 +90,15 @@ fn wait_terminal(daemon: &Daemon, id: &str) -> comfort_service::daemon::Campaign
     status
 }
 
-/// Asserts the two scheduling ledgers reconcile: the counters rebuilt from
-/// the service event stream equal the live metrics, and both balance their
-/// conservation equations against the daemon's current occupancy.
+/// Asserts the service ledger holds: the fold of the sink's service events
+/// equals the daemon's counters (every counted event reached the sink), and
+/// the counters balance their conservation equations against the daemon's
+/// current occupancy.
 fn assert_ledgers_reconcile(daemon: &Daemon, service_events: &MemorySink) {
     let events = service_events.events();
     let from_events = MetricsSnapshot::from_events(events.iter());
     let live = daemon.metrics();
-    assert_eq!(from_events, live, "event-derived counters diverge from live metrics");
+    assert_eq!(from_events, live, "the sink's stream folds to different counters");
     live.leases_conserved(daemon.leases_held()).expect("lease ledger conserved");
     live.campaigns_conserved(daemon.campaigns_active()).expect("campaign ledger conserved");
 }
@@ -135,8 +136,8 @@ fn two_tenants_complete_bit_identically_and_ledgers_reconcile() {
     assert!(terminal);
     assert!(!tail.is_empty(), "campaign stream should carry events");
 
-    // Ledger reconciliation: every scheduling decision was emitted as an
-    // event AND counted; the equations balance with nothing in flight.
+    // Every scheduling decision was counted from its event; the equations
+    // balance with nothing in flight.
     let snap = daemon.metrics();
     assert_eq!(snap.campaigns_admitted, 2);
     assert_eq!(snap.campaigns_completed, 2);
@@ -374,4 +375,63 @@ fn daemon_campaign_stream_equals_the_library_stream() {
     assert!(daemon.campaign_status(&id).expect("status").resumed);
     daemon.drain();
     let _ = std::fs::remove_file(&journal);
+}
+
+#[test]
+fn a_terminal_campaign_is_already_counted_and_in_the_sink() {
+    let service_events = MemorySink::new();
+    let daemon = Daemon::start(ServiceConfig {
+        workers: 2,
+        sink: SinkHandle::new(service_events.clone()),
+        ..ServiceConfig::default()
+    });
+    let tiny = |seed: u64| CampaignSpec {
+        corpus_programs: Some(20),
+        max_cases: Some(4),
+        shard_cases: Some(2),
+        ..small_spec("acme", seed)
+    };
+    for k in 0..40u64 {
+        let mut spec = tiny(100 + k);
+        if k == 7 {
+            // Fails at the daemon's panic boundary.
+            spec.chaos = Some(ChaosSpec { panic_rate: 1.0, ..ChaosSpec::default() });
+            spec.contain_panics = Some(false);
+        }
+        if k == 13 {
+            // Already past its deadline at admission: cancelled for sure.
+            spec.deadline_millis = Some(0);
+        }
+        let id = daemon.submit(&spec).expect("admitted");
+        if k == 17 {
+            // May lose the race to a campaign this small and complete.
+            daemon.cancel(&id);
+        }
+        // Zero-timeout waits in a tight loop, so the checks below run the
+        // moment the terminal state becomes visible: it must never be
+        // visible before its `campaign_finished` is counted and emitted.
+        let status = loop {
+            let status = daemon.wait(&id, Duration::ZERO).expect("campaign exists");
+            if status.state.is_terminal() {
+                break status;
+            }
+            std::thread::yield_now();
+        };
+        daemon
+            .metrics()
+            .campaigns_conserved(daemon.campaigns_active())
+            .unwrap_or_else(|e| panic!("campaign {k} ({:?}): {e}", status.state));
+        let in_sink = service_events.events().iter().any(
+            |e| matches!(&e.kind, EventKind::CampaignFinished { campaign, .. } if *campaign == id),
+        );
+        assert!(in_sink, "campaign {k} is {:?} but not in the sink", status.state);
+        match k {
+            7 => assert_eq!(status.state, CampaignState::Failed),
+            13 => assert_eq!(status.state, CampaignState::Cancelled),
+            _ => {}
+        }
+    }
+    assert_eq!(daemon.metrics().campaigns_admitted, 40);
+    daemon.drain();
+    assert_ledgers_reconcile(&daemon, &service_events);
 }
