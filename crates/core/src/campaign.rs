@@ -29,8 +29,7 @@ use crate::differential::{
 use crate::filter::{BugKey, BugTree};
 use crate::reduce::reduce_counted;
 use crate::resilience::{
-    run_case_hardened_cancellable, CancelToken, ChaosConfig, ExecPolicy, HealthTracker,
-    TestbedHealth,
+    run_case_hardened, CancelToken, ChaosConfig, ExecPolicy, HealthTracker, TestbedHealth,
 };
 use crate::testcase::{Origin, TestCase};
 use comfort_engines::FaultPlan;
@@ -76,7 +75,10 @@ pub struct CampaignConfig {
     /// Fraction of syntactically invalid generations to keep as parser
     /// tests (§3.2 keeps 20%).
     pub keep_invalid_fraction: f64,
-    /// Worker threads (`0` = available parallelism, `1` = serial). Affects
+    /// Worker threads for the sharded executor (`0` = available
+    /// parallelism, `1` = serial). The width parallelizes shards — each
+    /// shard runs its cases on one thread — so a single-shard plan
+    /// (`shard_cases = 0`) runs on one thread at any width. Affects
     /// scheduling only — results are bit-identical at every thread count.
     pub threads: usize,
     /// Cases per shard for the sharded executor (`0` = a single shard, which
@@ -270,7 +272,8 @@ impl CampaignConfigBuilder {
         self
     }
 
-    /// Worker threads (`0` = available parallelism, `1` = serial).
+    /// Worker threads (`0` = available parallelism, `1` = serial); see
+    /// [`CampaignConfig::threads`].
     pub fn threads(mut self, threads: usize) -> Self {
         self.config.threads = threads;
         self
@@ -472,10 +475,6 @@ pub struct Campaign {
     testbeds: Vec<Testbed>,
     rng: StdRng,
     next_case_id: u64,
-    /// Per-case testbed-matrix parallelism (scheduling only; results are
-    /// identical at every width). The sharded executor budgets this from its
-    /// remaining worker threads.
-    exec_threads: usize,
     /// Base (unmutated) programs of recent generations, for Table 4's
     /// mechanism attribution.
     base_programs: std::collections::HashMap<u64, Program>,
@@ -514,7 +513,6 @@ impl Campaign {
         testbeds: Vec<Testbed>,
     ) -> Self {
         let rng = StdRng::seed_from_u64(config.seed ^ 0x5EED);
-        let exec_threads = config.threads.max(1);
         let recorder = Recorder::new(config.sink.clone(), 0);
         let progress = ProgressHandle::new();
         progress.reset(&[config.max_cases as u64]);
@@ -524,18 +522,12 @@ impl Campaign {
             testbeds,
             rng,
             next_case_id: 0,
-            exec_threads,
             base_programs: std::collections::HashMap::new(),
             recorder,
             shard: 0,
             metrics: CampaignMetrics::default(),
             progress,
         }
-    }
-
-    /// Overrides the per-case testbed parallelism (scheduling only).
-    pub fn set_exec_threads(&mut self, threads: usize) {
-        self.exec_threads = threads.max(1);
     }
 
     /// Assigns this campaign's shard index (the executor's merge order);
@@ -666,11 +658,10 @@ impl Campaign {
             }
             let case = queue.remove(0);
             let diff_start = std::time::Instant::now();
-            let obs = run_case_hardened_cancellable(
+            let obs = run_case_hardened(
                 &case.program,
                 &self.testbeds,
                 &self.case_options(),
-                self.exec_threads,
                 &self.config.exec,
                 &mut tracker,
                 Some(&self.config.cancel),

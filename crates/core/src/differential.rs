@@ -9,7 +9,6 @@
 use comfort_engines::{compile, BugBehavior, CompiledChunk, EngineName, RunOptions, Testbed};
 use comfort_interp::{ErrorKind, RunStatus};
 use comfort_syntax::Program;
-use std::sync::Arc;
 
 /// Canonicalized result of one run: the comparison key for voting.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -168,8 +167,14 @@ pub fn run_differential(
     options: &RunOptions,
 ) -> CaseOutcome {
     let chunk = compile(program);
-    let signatures = testbed_signatures(&chunk, testbeds, options);
-    vote_on_signatures(testbeds, &signatures)
+    let signatures: Vec<Option<Signature>> = testbeds
+        .iter()
+        .map(|t| {
+            let r = t.run_compiled(&chunk, options);
+            Some(Signature::of(&r.status, &r.output))
+        })
+        .collect();
+    vote_on_signatures_quorum(testbeds, &signatures, &QuorumPolicy::LEGACY).0
 }
 
 /// Partition of a testbed matrix into behaviour-equivalence classes for one
@@ -283,21 +288,6 @@ impl ExecutionClasses {
     }
 }
 
-/// Computes the per-testbed signatures serially, in testbed order.
-pub(crate) fn testbed_signatures(
-    chunk: &Arc<CompiledChunk>,
-    testbeds: &[Testbed],
-    options: &RunOptions,
-) -> Vec<Signature> {
-    testbeds
-        .iter()
-        .map(|t| {
-            let r = t.run_compiled(chunk, options);
-            Signature::of(&r.status, &r.output)
-        })
-        .collect()
-}
-
 /// Quorum threshold for degraded voting: how many healthy voters a mode
 /// group needs before its majority vote counts. Groups below the threshold
 /// are observed (for telemetry) but cast no vote, and a case where *no*
@@ -342,15 +332,6 @@ impl GroupQuorum {
     pub fn degraded(&self) -> bool {
         self.present < self.total || !self.voted
     }
-}
-
-/// Majority voting over precomputed signatures (`signatures[i]` must belong
-/// to `testbeds[i]`). Split from [`run_differential`] so the parallel
-/// executor can compute signatures on a worker pool and vote identically.
-pub(crate) fn vote_on_signatures(testbeds: &[Testbed], signatures: &[Signature]) -> CaseOutcome {
-    debug_assert_eq!(testbeds.len(), signatures.len());
-    let present: Vec<Option<Signature>> = signatures.iter().cloned().map(Some).collect();
-    vote_on_signatures_quorum(testbeds, &present, &QuorumPolicy::LEGACY).0
 }
 
 /// Degraded-quorum majority voting: `signatures[i]` is `None` when

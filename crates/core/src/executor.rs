@@ -17,10 +17,11 @@
 //! * A single-shard plan (`shard_cases = 0`, the default) reproduces the
 //!   legacy serial `Campaign::run` case stream exactly.
 //!
-//! Inside each shard, the per-case testbed matrix is fanned out across the
-//! remaining thread budget too (see
-//! [`run_case_hardened`](crate::resilience::run_case_hardened)), which keeps
-//! the pool busy even when a plan has fewer shards than workers.
+//! Shards are the only unit of parallelism: each shard runs its cases, and
+//! each case its testbed matrix, serially on the worker that claimed it
+//! (see [`run_case_hardened`](crate::resilience::run_case_hardened)). A plan
+//! with fewer shards than `threads` spawns one worker per pending shard, so
+//! a single-shard plan runs on one thread at any width.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -223,9 +224,9 @@ impl ShardedCampaign {
         plan_shards(&self.config)
     }
 
-    /// Runs the campaign on exactly `threads` workers (`0` = available
-    /// parallelism). The report is bit-identical for every `threads` value.
-    /// A configured checkpoint journal is started afresh.
+    /// Runs the campaign on up to `threads` workers, one per pending shard
+    /// (`0` = available parallelism). The report is bit-identical for every
+    /// `threads` value. A configured checkpoint journal is started afresh.
     ///
     /// Telemetry keeps the same contract: each shard's event stream is
     /// buffered and flushed to the configured sink as soon as every earlier
@@ -237,7 +238,7 @@ impl ShardedCampaign {
         self.drive(threads, ShardLedger::fresh(&self.config, &self.progress))
     }
 
-    /// Runs the campaign on exactly `threads` workers with crash-safe
+    /// Runs the campaign on up to `threads` workers with crash-safe
     /// resume: if the configured checkpoint journal already exists on disk,
     /// its intact shard records are salvaged and fed straight into the
     /// order-preserving merge, and only the missing shards re-run — yielding
@@ -261,12 +262,10 @@ impl ShardedCampaign {
     /// stages, commits and flushes each completed shard, honours
     /// cooperative shutdown, and lets the ledger merge in shard order.
     fn drive(&self, threads: usize, ledger: ShardLedger) -> CampaignReport {
-        let threads = resolve_threads(threads);
         let pending = ledger.pending();
-        // Shard-level workers; whatever parallelism is left over goes to the
-        // per-case testbed fan-out inside each shard.
-        let workers = threads.clamp(1, ledger.plan().len());
-        let per_shard_threads = (threads / workers).max(1);
+        // One worker per pending shard, up to the width: a resumed run with
+        // one shard left spawns one thread.
+        let workers = resolve_threads(threads).min(pending.len());
 
         // Arm the wall-clock deadline exactly once, at campaign start; the
         // token is shared with every shard config clone, so shard-level
@@ -289,7 +288,7 @@ impl ShardedCampaign {
                         break;
                     };
                     let attempt = MemorySink::new();
-                    let report = self.run_shard(spec, per_shard_threads, &attempt);
+                    let report = self.run_shard(spec, &attempt);
                     if report.interrupted {
                         // A partially-run shard is discarded whole: its
                         // events would desync the replayed stream, and
@@ -313,19 +312,13 @@ impl ShardedCampaign {
     /// exactly the machinery the executor uses internally — same derived
     /// seed, same buffered stream — and therefore merge to bit-identical
     /// reports through a [`ShardLedger`].
-    pub fn run_shard(
-        &self,
-        spec: &ShardSpec,
-        exec_threads: usize,
-        buffer: &MemorySink,
-    ) -> CampaignReport {
+    pub fn run_shard(&self, spec: &ShardSpec, buffer: &MemorySink) -> CampaignReport {
         let mut config = self.config.clone();
         config.seed = spec.seed;
         config.max_cases = spec.cases;
         config.sink = SinkHandle::new(buffer.clone());
         let mut campaign =
             Campaign::with_shared(config, Arc::clone(&self.generator), self.testbeds.clone());
-        campaign.set_exec_threads(exec_threads);
         campaign.set_shard(spec.index as u64);
         campaign.set_progress(self.progress.clone());
         campaign.run()
@@ -717,7 +710,7 @@ mod tests {
         let plan = executor.plan();
         assert_eq!(plan.len(), 3);
         let shard_reports: Vec<CampaignReport> =
-            plan.iter().map(|s| executor.run_shard(s, 1, &MemorySink::new())).collect();
+            plan.iter().map(|s| executor.run_shard(s, &MemorySink::new())).collect();
         let merged = merge_shard_reports(&shard_reports);
         assert_eq!(merged.cases_run, shard_reports.iter().map(|r| r.cases_run).sum::<u64>());
         let total_bugs: usize = shard_reports.iter().map(|r| r.bugs.len()).sum();

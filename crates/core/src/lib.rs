@@ -70,8 +70,8 @@ pub use fuzzer::{ComfortFuzzer, Fuzzer};
 pub use pipeline::{Comfort, ComfortConfig, PipelineReport};
 pub use reduce::reduce as reduce_case;
 pub use resilience::{
-    run_case_hardened, run_case_hardened_cancellable, CancelToken, CaseObservation, ChaosConfig,
-    ExecPolicy, FaultRecord, HealthTracker, QuarantineEvent, ReinstateEvent, TestbedHealth,
+    run_case_hardened, CancelToken, CaseObservation, ChaosConfig, ExecPolicy, FaultRecord,
+    HealthTracker, QuarantineEvent, ReinstateEvent, TestbedHealth,
 };
 pub use session::CampaignSession;
 pub use testcase::{Origin, TestCase};

@@ -33,8 +33,10 @@ pub struct ComfortConfig {
     /// Reduce bug-exposing cases before reporting.
     pub reduce: bool,
     /// Worker threads for campaign execution. `0` (the default) uses all
-    /// available parallelism; `1` is the legacy serial executor. Reports are
-    /// bit-identical at every thread count.
+    /// available parallelism; `1` is the legacy serial executor. The width
+    /// parallelizes shards, so a single-shard plan (`shard_cases = 0`, the
+    /// default) runs on one thread. Reports are bit-identical at every
+    /// thread count.
     pub threads: usize,
     /// Cases per shard. `0` (the default) runs the whole budget as a single
     /// shard, which reproduces the legacy serial case stream exactly.

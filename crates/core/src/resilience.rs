@@ -68,7 +68,7 @@ impl Default for ExecPolicy {
 }
 
 /// A cooperative cancellation token, checked at shard boundaries and
-/// between testbed slots inside [`run_case_hardened_cancellable`].
+/// between testbed slots inside [`run_case_hardened`].
 ///
 /// Cancellation is **latching**: once [`CancelToken::cancel`] is called or
 /// the armed deadline passes, [`CancelToken::is_cancelled`] stays `true`.
@@ -432,31 +432,16 @@ pub struct CaseObservation {
 ///
 /// Quarantined testbeds are skipped (their signature slot stays `None`)
 /// unless their half-open probe is due; a quarantine tripped by *this* case
-/// takes effect from the next case. With `threads > 1` the isolated runs
-/// fan out over a scoped worker pool; results land in index-ordered slots,
-/// so the observation is bit-identical at every thread count.
+/// takes effect from the next case. The testbed slots run serially in index
+/// order, with a cooperative cancellation point between them: when `cancel`
+/// trips mid-case, remaining runs are skipped and the observation comes back
+/// `cancelled` with the tracker untouched (the interrupted shard's state is
+/// discarded wholesale, so a partial case must not leak into the health
+/// ledger).
 pub fn run_case_hardened(
     program: &Program,
     testbeds: &[Testbed],
     options: &RunOptions,
-    threads: usize,
-    policy: &ExecPolicy,
-    tracker: &mut HealthTracker,
-) -> CaseObservation {
-    run_case_hardened_cancellable(program, testbeds, options, threads, policy, tracker, None)
-}
-
-/// [`run_case_hardened`] with a cooperative cancellation point between
-/// testbed slots: when `cancel` trips mid-case, remaining runs are skipped
-/// and the observation comes back `cancelled` with the tracker untouched
-/// (the interrupted shard's state is discarded wholesale, so a partial case
-/// must not leak into the health ledger).
-#[allow(clippy::too_many_arguments)]
-pub fn run_case_hardened_cancellable(
-    program: &Program,
-    testbeds: &[Testbed],
-    options: &RunOptions,
-    threads: usize,
     policy: &ExecPolicy,
     tracker: &mut HealthTracker,
     cancel: Option<&CancelToken>,
@@ -482,9 +467,7 @@ pub fn run_case_hardened_cancellable(
     };
     let run_mask: Vec<bool> =
         (0..testbeds.len()).map(|i| mask[i] && classes.is_representative(i)).collect();
-    let (runs, cancelled) =
-        isolated_runs(&chunk, testbeds, options, threads, policy, &run_mask, cancel);
-    if cancelled {
+    let Some(runs) = isolated_runs(&chunk, testbeds, options, policy, &run_mask, cancel) else {
         return CaseObservation {
             outcome: CaseOutcome::NoQuorum,
             groups: Vec::new(),
@@ -498,7 +481,7 @@ pub fn run_case_hardened_cancellable(
             cancelled: true,
             skipped_runs: 0,
         };
-    }
+    };
 
     // Process every masked-in slot in index order against its class
     // representative's run (`rep(i) == i` for slots that executed). Health
@@ -571,64 +554,29 @@ pub fn run_case_hardened_cancellable(
     }
 }
 
-/// Executes the isolated runs for every unmasked testbed, serially or on a
-/// scoped worker pool (index-ordered slots; workers never panic because the
-/// isolation harness contains everything). Returns `(slots, cancelled)`;
-/// a trip of `cancel` between slots stops further runs.
+/// Executes the isolated runs for every unmasked testbed in index order
+/// (the isolation harness contains every fault, so nothing here panics).
+/// Returns `None` when `cancel` trips between slots, which stops further
+/// runs.
 fn isolated_runs(
     chunk: &Arc<CompiledChunk>,
     testbeds: &[Testbed],
     options: &RunOptions,
-    threads: usize,
     policy: &ExecPolicy,
     mask: &[bool],
     cancel: Option<&CancelToken>,
-) -> (Vec<Option<IsolatedRun>>, bool) {
-    let run_one = |i: usize| {
-        run_isolated_compiled(&testbeds[i], chunk, options, &policy.isolation, &policy.retry)
-    };
-    let is_cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
-    if threads <= 1 || testbeds.len() < 2 {
-        let mut slots = Vec::with_capacity(testbeds.len());
-        for (i, m) in mask.iter().enumerate() {
-            if is_cancelled() {
-                return (slots, true);
+) -> Option<Vec<Option<IsolatedRun>>> {
+    let run = |bed| run_isolated_compiled(bed, chunk, options, &policy.isolation, &policy.retry);
+    testbeds
+        .iter()
+        .zip(mask)
+        .map(|(bed, &m)| {
+            if cancel.is_some_and(CancelToken::is_cancelled) {
+                return None;
             }
-            slots.push(m.then(|| run_one(i)));
-        }
-        return (slots, false);
-    }
-
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::OnceLock;
-    // Indices are claimed exactly once from the shared counter, so each
-    // slot is written at most once: per-slot `OnceLock`s give lock-free
-    // writes (no mutex pool allocated-and-locked per case).
-    let slots: Vec<OnceLock<IsolatedRun>> = testbeds.iter().map(|_| OnceLock::new()).collect();
-    let next = AtomicUsize::new(0);
-    let stopped = AtomicBool::new(false);
-    let workers = threads.min(testbeds.len());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                if is_cancelled() {
-                    stopped.store(true, Ordering::SeqCst);
-                    break;
-                }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= testbeds.len() {
-                    break;
-                }
-                if !mask[i] {
-                    continue;
-                }
-                let set = slots[i].set(run_one(i));
-                debug_assert!(set.is_ok(), "slot {i} claimed twice");
-            });
-        }
-    });
-    let cancelled = stopped.load(Ordering::SeqCst);
-    (slots.into_iter().map(OnceLock::into_inner).collect(), cancelled)
+            Some(m.then(|| run(bed)))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -655,9 +603,9 @@ mod tests {
             &program("print(1);"),
             &beds,
             &RunOptions::with_fuel(100_000),
-            1,
             &ExecPolicy::default(),
             &mut tracker,
+            None,
         );
         assert_eq!(obs.faults.len(), 1);
         assert_eq!(obs.faults[0].fault, FaultObserved::Panic);
@@ -675,15 +623,15 @@ mod tests {
         let opts = RunOptions::with_fuel(100_000);
         let policy = ExecPolicy { quarantine_after: 2, ..ExecPolicy::default() };
         let first =
-            run_case_hardened(&program("print(1);"), &beds, &opts, 1, &policy, &mut tracker);
+            run_case_hardened(&program("print(1);"), &beds, &opts, &policy, &mut tracker, None);
         assert!(first.quarantined.is_empty());
         let second =
-            run_case_hardened(&program("print(2);"), &beds, &opts, 1, &policy, &mut tracker);
+            run_case_hardened(&program("print(2);"), &beds, &opts, &policy, &mut tracker, None);
         assert_eq!(second.quarantined.len(), 1, "second consecutive panic trips the breaker");
         assert_eq!(second.quarantined[0].testbed, 0);
         // From the third case on, testbed 0 is skipped and the rest vote.
         let third =
-            run_case_hardened(&program("print(3);"), &beds, &opts, 1, &policy, &mut tracker);
+            run_case_hardened(&program("print(3);"), &beds, &opts, &policy, &mut tracker, None);
         assert_eq!(third.skipped_runs, 1);
         assert_eq!(third.active_runs, beds.len() - 1);
         assert!(matches!(third.outcome, CaseOutcome::Pass), "{:?}", third.outcome);
@@ -771,11 +719,10 @@ mod tests {
         let before = tracker.reports();
         let token = CancelToken::new();
         token.cancel();
-        let obs = run_case_hardened_cancellable(
+        let obs = run_case_hardened(
             &program("print(1);"),
             &beds,
             &RunOptions::with_fuel(100_000),
-            1,
             &ExecPolicy::default(),
             &mut tracker,
             Some(&token),
@@ -803,31 +750,6 @@ mod tests {
         assert!(tracker.observe_fault(0, FaultObserved::OutputTruncated).is_none());
         assert!(tracker.is_active(0));
         assert_eq!(tracker.reports()[0].outputs_truncated, 1);
-    }
-
-    #[test]
-    fn hardened_runs_are_thread_count_invariant() {
-        let plan = FaultPlan::new(11).panic_rate(0.3).garbage_rate(0.2);
-        let opts = RunOptions::with_fuel(100_000);
-        let policy = ExecPolicy::default();
-        let observe = |threads: usize| {
-            let beds = chaos_matrix(plan.clone());
-            let mut tracker = HealthTracker::new(&beds, policy.quarantine_after);
-            let mut outcomes = Vec::new();
-            for i in 0..12 {
-                let obs = run_case_hardened(
-                    &program(&format!("print({i});")),
-                    &beds,
-                    &opts,
-                    threads,
-                    &policy,
-                    &mut tracker,
-                );
-                outcomes.push((format!("{:?}", obs.outcome), obs.faults, obs.active_runs));
-            }
-            (outcomes, tracker.reports())
-        };
-        assert_eq!(observe(1), observe(4));
     }
 
     #[test]

@@ -135,8 +135,8 @@ impl CampaignSession {
         self.run_with_threads(self.config.threads)
     }
 
-    /// [`run`](Self::run) on exactly `threads` workers (`0` = available
-    /// parallelism), reusing the session's trained generator and testbed
+    /// [`run`](Self::run) on up to `threads` workers, one per pending shard
+    /// (`0` = available parallelism), reusing the session's trained generator and testbed
     /// matrix. Sweeping widths re-runs the identical workload; the report
     /// is bit-identical in every deterministic field at each width.
     pub fn run_with_threads(&self, threads: usize) -> Result<CampaignReport, CheckpointError> {

@@ -401,7 +401,7 @@ fn shard_runs() -> &'static [(CampaignReport, Vec<Event>)] {
             .iter()
             .map(|spec| {
                 let buffer = MemorySink::new();
-                let report = executor.run_shard(spec, 1, &buffer);
+                let report = executor.run_shard(spec, &buffer);
                 (report, buffer.take())
             })
             .collect()

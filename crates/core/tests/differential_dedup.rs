@@ -98,8 +98,8 @@ fn classed_execution_matches_full_matrix_oracle() {
         let program = comfort_syntax::parse(&src).expect("corpus parses");
         let mut tracker_on = HealthTracker::new(&testbeds, 0);
         let mut tracker_off = HealthTracker::new(&testbeds, 0);
-        let a = run_case_hardened(&program, &testbeds, &options, 1, &on, &mut tracker_on);
-        let b = run_case_hardened(&program, &testbeds, &options, 1, &off, &mut tracker_off);
+        let a = run_case_hardened(&program, &testbeds, &options, &on, &mut tracker_on, None);
+        let b = run_case_hardened(&program, &testbeds, &options, &off, &mut tracker_off, None);
         assert_eq!(a.outcome, b.outcome, "outcome diverged on: {src}");
         assert_eq!(a.groups, b.groups, "quorum summary diverged on: {src}");
         assert_eq!(a.active_runs, b.active_runs);

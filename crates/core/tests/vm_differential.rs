@@ -4,14 +4,15 @@
 //! The VM's contract is **bit-identical observables** — status, output,
 //! fuel accounting, coverage hits — on every program, at every thread
 //! width. These tests sweep the training corpus and ECMA-guided mutants,
-//! drive the hardened per-case harness at widths 1/2/8, and pin the
-//! acceptance criterion: a full seed-6 campaign produces checksum-equal
-//! reports under both backends.
+//! drive the hardened per-case harness, and pin the acceptance criterion:
+//! a full seed-6 campaign produces checksum-equal reports under both
+//! backends, serially and on a sharded 8-worker run.
 
-use comfort_core::campaign::{Campaign, CampaignConfig};
+use comfort_core::campaign::CampaignConfig;
 use comfort_core::checkpoint::report_checksum;
 use comfort_core::datagen::{DataGen, DataGenConfig};
 use comfort_core::resilience::{run_case_hardened, ExecPolicy, HealthTracker};
+use comfort_core::session::CampaignSession;
 use comfort_engines::{latest_testbeds, Backend, RunOptions};
 use comfort_interp::{compile, hooks::SpecProfile, run_chunk};
 use comfort_lm::GeneratorConfig;
@@ -62,7 +63,7 @@ fn ecma_mutants_backends_agree() {
 }
 
 #[test]
-fn hardened_differential_agrees_across_backends_and_widths() {
+fn hardened_differential_agrees_across_backends() {
     let testbeds = latest_testbeds();
     let policy = ExecPolicy::default();
     for seed in 0..30u64 {
@@ -71,23 +72,13 @@ fn hardened_differential_agrees_across_backends_and_widths() {
         let mut outcomes = Vec::new();
         for backend in [Backend::Bytecode, Backend::TreeWalk] {
             let options = RunOptions { fuel: 300_000, backend, ..RunOptions::default() };
-            for threads in [1, 2, 8] {
-                let mut tracker = HealthTracker::new(&testbeds, policy.quarantine_after);
-                let obs = run_case_hardened(
-                    &program,
-                    &testbeds,
-                    &options,
-                    threads,
-                    &policy,
-                    &mut tracker,
-                );
-                outcomes.push(obs.outcome);
-            }
+            let mut tracker = HealthTracker::new(&testbeds, policy.quarantine_after);
+            let obs = run_case_hardened(&program, &testbeds, &options, &policy, &mut tracker, None);
+            outcomes.push(obs.outcome);
         }
-        let first = &outcomes[0];
-        assert!(
-            outcomes.iter().all(|o| o == first),
-            "differential outcome varies with backend/threads on seed {seed}: {outcomes:?}"
+        assert_eq!(
+            outcomes[0], outcomes[1],
+            "differential outcome varies with backend on seed {seed}"
         );
     }
 }
@@ -116,34 +107,35 @@ proptest! {
     }
 }
 
-fn seed6_config(backend: Backend, threads: usize) -> CampaignConfig {
-    CampaignConfig::builder()
+/// The seed-6 workload as a 2-shard plan, so a wide run really fans out.
+fn seed6_session(backend: Backend) -> CampaignSession {
+    let config = CampaignConfig::builder()
         .seed(6)
         .corpus_programs(80)
         .lm(GeneratorConfig { order: 8, bpe_merges: 200, top_k: 10, max_tokens: 800 })
         .max_cases(40)
         .fuel(200_000)
         .backend(backend)
-        .threads(threads)
         .include_strict(true)
         .include_legacy(false)
         .reduce_cases(true)
         .shard_cases(20)
         .build()
-        .expect("valid seed-6 config")
+        .expect("valid seed-6 config");
+    CampaignSession::new(config)
 }
 
 #[test]
 fn seed6_campaign_reports_are_checksum_equal_across_backends() {
-    let vm = Campaign::new(seed6_config(Backend::Bytecode, 1)).run();
-    let oracle = Campaign::new(seed6_config(Backend::TreeWalk, 1)).run();
+    let vm = seed6_session(Backend::Bytecode);
+    let oracle = seed6_session(Backend::TreeWalk).run_with_threads(1).expect("fresh run");
+    let checksum_at = |threads| report_checksum(&vm.run_with_threads(threads).expect("fresh run"));
     assert_eq!(
-        report_checksum(&vm),
+        checksum_at(1),
         report_checksum(&oracle),
         "seed-6 campaign reports differ between backends"
     );
-    // And the contract holds at width too: a threaded VM campaign matches
-    // the serial tree-walk oracle checksum exactly.
-    let vm_wide = Campaign::new(seed6_config(Backend::Bytecode, 8)).run();
-    assert_eq!(report_checksum(&vm), report_checksum(&vm_wide));
+    // And the contract holds at width too: both shards on 8 VM workers
+    // match the serial tree-walk oracle checksum exactly.
+    assert_eq!(checksum_at(8), report_checksum(&oracle));
 }

@@ -5,9 +5,9 @@
 //! atom table, number pool, `extra` child lists, function-proto table with
 //! precomputed hoist lists) together with the original [`Program`]. The
 //! chunk is immutable and `Send + Sync`, so [`compile`] runs **once per test
-//! case** and the resulting `Arc<CompiledChunk>` fans out read-only across
-//! every engine × mode testbed and every worker thread of a differential
-//! campaign — engine-specific behaviour stays keyed off the
+//! case** and the resulting `Arc<CompiledChunk>` is shared read-only across
+//! every engine × mode testbed and their isolation watchdog threads —
+//! engine-specific behaviour stays keyed off the
 //! [`crate::hooks::ConformanceProfile`] at run time, never baked into the
 //! chunk.
 //!

@@ -40,7 +40,7 @@ use std::time::{Duration, Instant, SystemTime};
 
 use comfort_core::campaign::{CampaignConfig, CampaignReport};
 use comfort_core::checkpoint::{report_checksum, CampaignCheckpoint, LeaseAction, LeaseRecord};
-use comfort_core::executor::{Commit, ShardLedger};
+use comfort_core::executor::{resolve_threads, Commit, ShardLedger};
 use comfort_core::resilience::CancelToken;
 use comfort_core::session::CampaignSession;
 use comfort_telemetry::{
@@ -503,9 +503,8 @@ impl DaemonShared {
     fn execute_inline(&self, entry: &Arc<CampaignEntry>, claim: &Claim, transition: &Transition) {
         let spec = entry.ledger.plan()[claim.shard];
         let attempt = MemorySink::new();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            entry.session.executor().run_shard(&spec, 1, &attempt)
-        }));
+        let outcome =
+            catch_unwind(AssertUnwindSafe(|| entry.session.executor().run_shard(&spec, &attempt)));
         match outcome {
             Err(payload) => {
                 entry.leases.abandon(claim.shard, claim.lease_seq);
@@ -1101,11 +1100,7 @@ pub struct Daemon {
 impl Daemon {
     /// Starts the worker pool and supervisor.
     pub fn start(cfg: ServiceConfig) -> Arc<Daemon> {
-        let workers = if cfg.workers == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2)
-        } else {
-            cfg.workers
-        };
+        let workers = resolve_threads(cfg.workers);
         let service = Mutex::new((
             Recorder::new(cfg.sink.clone(), SERVICE_SHARD),
             MetricsSnapshot::default(),

@@ -213,7 +213,7 @@ pub fn run_worker_once(opts: &WorkerOnceOptions) -> Result<String, WorkerError> 
         let _beat = opts.heartbeat_millis.map(|millis| {
             ProgressBeat::start(progress.clone(), target as usize, Duration::from_millis(millis))
         });
-        session.executor().run_shard(&spec, 1, &buffer)
+        session.executor().run_shard(&spec, &buffer)
     };
     let record = ShardRecord {
         index: target,
@@ -274,7 +274,7 @@ fn run_probe(
     let progress = session.progress();
     progress.reset(&plan.iter().map(|s| s.cases as u64).collect::<Vec<u64>>());
     let buffer = MemorySink::new();
-    let report = session.executor().run_shard(&probe_spec, 1, &buffer);
+    let report = session.executor().run_shard(&probe_spec, &buffer);
     Ok(format!("probe survived shard {shard} prefix of {cases} cases ({} run)", report.cases_run))
 }
 

@@ -75,9 +75,8 @@ pub mod prelude {
     pub use comfort_core::filter::{BugKey, BugTree};
     pub use comfort_core::pipeline::{Comfort, ComfortConfig, PipelineReport};
     pub use comfort_core::resilience::{
-        run_case_hardened, run_case_hardened_cancellable, CancelToken, CaseObservation,
-        ChaosConfig, ExecPolicy, FaultRecord, HealthTracker, QuarantineEvent, ReinstateEvent,
-        TestbedHealth,
+        run_case_hardened, CancelToken, CaseObservation, ChaosConfig, ExecPolicy, FaultRecord,
+        HealthTracker, QuarantineEvent, ReinstateEvent, TestbedHealth,
     };
     pub use comfort_core::session::CampaignSession;
     pub use comfort_core::testcase::{Origin, TestCase};
