@@ -497,9 +497,7 @@ impl Campaign {
 
     /// Trains the generator and prepares the testbed matrix.
     pub fn new(config: CampaignConfig) -> Self {
-        let corpus = comfort_corpus::training_corpus(config.seed, config.corpus_programs);
-        let generator = std::sync::Arc::new(Generator::train(&corpus, config.lm.clone()));
-        let testbeds = testbeds_for(&config);
+        let (generator, testbeds) = crate::executor::set_up(&config);
         Campaign::with_shared(config, generator, testbeds)
     }
 

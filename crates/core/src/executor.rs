@@ -166,6 +166,14 @@ pub fn merge_shard_reports_with_sink(
     merged
 }
 
+/// The cold path of every campaign: trains the generator on the seed's
+/// corpus and builds the testbed matrix. Both depend only on the config, so
+/// every shard of a campaign shares one result.
+pub(crate) fn set_up(config: &CampaignConfig) -> (Arc<Generator>, Vec<Testbed>) {
+    let corpus = comfort_corpus::training_corpus(config.seed, config.corpus_programs);
+    (Arc::new(Generator::train(&corpus, config.lm.clone())), testbeds_for(config))
+}
+
 /// The sharded campaign executor.
 ///
 /// Trains the language model **once** (training is a pure function of the
@@ -200,9 +208,7 @@ pub struct ShardedCampaign {
 impl ShardedCampaign {
     /// Trains the generator and prepares the shared testbed matrix.
     pub fn new(config: CampaignConfig) -> Self {
-        let corpus = comfort_corpus::training_corpus(config.seed, config.corpus_programs);
-        let generator = Arc::new(Generator::train(&corpus, config.lm.clone()));
-        let testbeds = testbeds_for(&config);
+        let (generator, testbeds) = set_up(&config);
         ShardedCampaign { config, generator, testbeds, progress: ProgressHandle::new() }
     }
 

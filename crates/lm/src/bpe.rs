@@ -6,8 +6,17 @@
 //! Common keywords (`var`, `for`, `if`) end up as whole tokens while rare
 //! identifiers decompose into a few characters — allowing an unbounded
 //! identifier space over a finite vocabulary.
+//!
+//! The trainer is incremental: symbols are interned, each distinct word is
+//! kept once with its frequency, and a merge recounts only the words that
+//! contain the merged pair. It learns exactly the merges and vocabulary of
+//! the textbook trainer that recounts every pair per merge (the equivalence
+//! proptests in `bpe/reference.rs` check this).
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
+
+#[cfg(test)]
+mod reference;
 
 /// Marker prefixed to space-separated word starts (the `Ġ` of GPT-2's BPE).
 const SPACE_MARK: char = '\u{2581}'; // ▁
@@ -19,65 +28,128 @@ pub struct Bpe {
     merges: Vec<(String, String)>,
     token_to_id: HashMap<String, u32>,
     id_to_token: Vec<String>,
+    /// Char length of the longest vocabulary token: no longer probe can match.
+    max_token_chars: usize,
+}
+
+/// Interned symbol strings: a symbol's id is its index in `strings`, and
+/// equal strings get one id however they were merged.
+#[derive(Default)]
+struct Symbols {
+    strings: Vec<String>,
+    ids: HashMap<String, u32>,
+}
+
+impl Symbols {
+    fn intern(&mut self, s: String) -> u32 {
+        if let Some(&id) = self.ids.get(&s) {
+            return id;
+        }
+        let id = self.strings.len() as u32;
+        self.ids.insert(s.clone(), id);
+        self.strings.push(s);
+        id
+    }
+
+    /// The pair's `(left, right)` strings, for the lexicographic tie-break.
+    fn text(&self, (l, r): (u32, u32)) -> (&str, &str) {
+        (&self.strings[l as usize], &self.strings[r as usize])
+    }
+}
+
+/// A distinct pre-token word: its current symbols and its corpus frequency.
+struct Word {
+    symbols: Vec<u32>,
+    freq: u64,
 }
 
 impl Bpe {
     /// Trains on `corpus` with at most `n_merges` merge operations.
+    ///
+    /// Each merge takes the pair with the highest window count (`aaa` holds
+    /// `(a, a)` twice), ties going to the lexicographically smallest
+    /// `(left, right)`, and stops once no pair occurs twice. Only the words
+    /// holding that pair are rewritten and recounted, so a merge costs the
+    /// length of those words plus one scan of the live pair counts.
     pub fn train(corpus: &[String], n_merges: usize) -> Self {
-        // Word frequency table over pre-tokens.
-        let mut word_freq: HashMap<Vec<String>, u64> = HashMap::new();
+        let mut symbols = Symbols::default();
+        let mut word_index: HashMap<String, usize> = HashMap::new();
+        let mut words: Vec<Word> = Vec::new();
         for text in corpus {
             for word in pre_tokenize(text) {
-                let symbols: Vec<String> = word.chars().map(|c| c.to_string()).collect();
-                *word_freq.entry(symbols).or_insert(0) += 1;
+                if let Some(&w) = word_index.get(&word) {
+                    words[w].freq += 1;
+                    continue;
+                }
+                let ids = word.chars().map(|c| symbols.intern(c.to_string())).collect();
+                word_index.insert(word, words.len());
+                words.push(Word { symbols: ids, freq: 1 });
+            }
+        }
+        drop(word_index);
+
+        // Window counts weighted by word frequency, and the words each pair
+        // was ever seen in (stale and repeated entries are skipped on use).
+        let mut pair_count: HashMap<(u32, u32), u64> = HashMap::new();
+        let mut pair_words: HashMap<(u32, u32), Vec<u32>> = HashMap::new();
+        for (w, word) in words.iter().enumerate() {
+            for win in word.symbols.windows(2) {
+                *pair_count.entry((win[0], win[1])).or_insert(0) += word.freq;
+                pair_words.entry((win[0], win[1])).or_default().push(w as u32);
             }
         }
 
         let mut merges = Vec::with_capacity(n_merges);
         for _ in 0..n_merges {
-            // Count adjacent pairs, weighted by word frequency.
-            let mut pair_freq: HashMap<(String, String), u64> = HashMap::new();
-            for (symbols, freq) in &word_freq {
-                for w in symbols.windows(2) {
-                    *pair_freq.entry((w[0].clone(), w[1].clone())).or_insert(0) += freq;
-                }
-            }
-            // Deterministic best pair: max count, ties broken lexicographically.
-            let Some((best, count)) =
-                pair_freq.into_iter().max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(&a.0)))
-            else {
+            // The tie-break is a total order on distinct pairs, so the map's
+            // iteration order cannot change the pick.
+            let Some((&best, &count)) = pair_count.iter().max_by(|a, b| {
+                a.1.cmp(b.1).then_with(|| symbols.text(*b.0).cmp(&symbols.text(*a.0)))
+            }) else {
                 break;
             };
             if count < 2 {
                 break;
             }
-            let merged = format!("{}{}", best.0, best.1);
-            // Apply the merge to every word.
-            let mut new_freq: HashMap<Vec<String>, u64> = HashMap::with_capacity(word_freq.len());
-            for (symbols, freq) in word_freq {
-                let mut out = Vec::with_capacity(symbols.len());
-                let mut i = 0;
-                while i < symbols.len() {
-                    if i + 1 < symbols.len() && symbols[i] == best.0 && symbols[i + 1] == best.1 {
-                        out.push(merged.clone());
-                        i += 2;
-                    } else {
-                        out.push(symbols[i].clone());
-                        i += 1;
+            let (left, right) = symbols.text(best);
+            let (left, right) = (left.to_string(), right.to_string());
+            let merged = symbols.intern(format!("{left}{right}"));
+            let mut touched = pair_words.remove(&best).unwrap_or_default();
+            touched.sort_unstable();
+            touched.dedup();
+            for w in touched {
+                let word = &mut words[w as usize];
+                if !word.symbols.windows(2).any(|win| (win[0], win[1]) == best) {
+                    continue;
+                }
+                for win in word.symbols.windows(2) {
+                    let pair = (win[0], win[1]);
+                    let c = pair_count.get_mut(&pair).expect("every window is counted");
+                    *c -= word.freq;
+                    if *c == 0 {
+                        pair_count.remove(&pair);
                     }
                 }
-                *new_freq.entry(out).or_insert(0) += freq;
+                word.symbols = merge_pair(&word.symbols, best, merged);
+                for win in word.symbols.windows(2) {
+                    let pair = (win[0], win[1]);
+                    *pair_count.entry(pair).or_insert(0) += word.freq;
+                    // Windows without the new symbol were already indexed.
+                    if win.contains(&merged) {
+                        pair_words.entry(pair).or_default().push(w);
+                    }
+                }
             }
-            word_freq = new_freq;
-            merges.push(best);
+            merges.push((left, right));
         }
 
         // Vocabulary: all residual symbols plus all single characters.
         // Collected into an ordered set first so token ids are deterministic
         // (HashMap iteration order would leak into generation otherwise).
-        let mut all: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
-        for symbols in word_freq.keys() {
-            for s in symbols {
+        let mut all: BTreeSet<String> = BTreeSet::new();
+        for word in &words {
+            for &id in &word.symbols {
+                let s = &symbols.strings[id as usize];
                 for c in s.chars() {
                     all.insert(c.to_string());
                 }
@@ -87,14 +159,20 @@ impl Bpe {
         for (l, r) in &merges {
             all.insert(format!("{l}{r}"));
         }
-        let mut token_to_id = HashMap::new();
-        let mut id_to_token = Vec::new();
-        for tok in all {
+        Bpe::from_parts(merges, all)
+    }
+
+    /// Numbers the vocabulary in `BTreeSet` order.
+    fn from_parts(merges: Vec<(String, String)>, vocab: BTreeSet<String>) -> Self {
+        let mut token_to_id = HashMap::with_capacity(vocab.len());
+        let mut id_to_token = Vec::with_capacity(vocab.len());
+        let mut max_token_chars = 0;
+        for tok in vocab {
+            max_token_chars = max_token_chars.max(tok.chars().count());
             token_to_id.insert(tok.clone(), id_to_token.len() as u32);
             id_to_token.push(tok);
         }
-
-        Bpe { merges, token_to_id, id_to_token }
+        Bpe { merges, token_to_id, id_to_token, max_token_chars }
     }
 
     /// Vocabulary size.
@@ -111,22 +189,23 @@ impl Bpe {
     ///
     /// Segmentation is greedy longest-match against the learned vocabulary —
     /// equivalent in coverage to replaying the merge sequence, but linear in
-    /// practice (merge replay is O(merges × word) per word).
+    /// practice (merge replay is O(merges × word) per word). A probe never
+    /// reaches past the longest token, so a long word costs O(length × that
+    /// token length) lookups.
     pub fn encode(&self, text: &str) -> Vec<u32> {
         let mut out = Vec::new();
+        let mut bounds = Vec::new();
         for word in pre_tokenize(text) {
-            let chars: Vec<char> = word.chars().collect();
+            bounds.clear();
+            bounds.extend(word.char_indices().map(|(b, _)| b));
+            bounds.push(word.len());
+            let chars = bounds.len() - 1;
             let mut i = 0;
-            while i < chars.len() {
-                let mut best: Option<(usize, u32)> = None;
-                let mut probe = String::new();
-                for (j, &c) in chars.iter().enumerate().skip(i) {
-                    probe.push(c);
-                    if let Some(&id) = self.token_to_id.get(&probe) {
-                        best = Some((j + 1, id));
-                    }
-                }
-                match best {
+            while i < chars {
+                let longest = (i + 1..=chars.min(i + self.max_token_chars)).rev().find_map(|j| {
+                    self.token_to_id.get(&word[bounds[i]..bounds[j]]).map(|&id| (j, id))
+                });
+                match longest {
                     Some((next, id)) => {
                         out.push(id);
                         i = next;
@@ -153,6 +232,23 @@ impl Bpe {
     pub fn token_text(&self, id: u32) -> &str {
         self.id_to_token.get(id as usize).map(String::as_str).unwrap_or("")
     }
+}
+
+/// `symbols` with every occurrence of `pair` replaced by `merged`, scanning
+/// left to right without overlap (`a a a` under `(a, a)` is `aa a`).
+fn merge_pair(symbols: &[u32], pair: (u32, u32), merged: u32) -> Vec<u32> {
+    let mut out = Vec::with_capacity(symbols.len());
+    let mut i = 0;
+    while i < symbols.len() {
+        if i + 1 < symbols.len() && (symbols[i], symbols[i + 1]) == pair {
+            out.push(merged);
+            i += 2;
+        } else {
+            out.push(symbols[i]);
+            i += 1;
+        }
+    }
+    out
 }
 
 /// Splits source text into pre-tokens: identifier/number runs, single
@@ -240,6 +336,15 @@ mod tests {
         let bpe = Bpe::train(&corpus(), 10);
         let ids = bpe.encode("本");
         assert!(ids.is_empty());
+    }
+
+    #[test]
+    fn long_identifier_roundtrips() {
+        let bpe = Bpe::train(&corpus(), 50);
+        let ident: String = "fooreturnvarxyz".chars().cycle().take(10_000).collect();
+        let ids = bpe.encode(&ident);
+        assert!(ids.len() < ident.len(), "merged tokens cover several chars");
+        assert_eq!(bpe.decode(&ids), ident);
     }
 
     #[test]

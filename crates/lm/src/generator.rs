@@ -79,20 +79,22 @@ impl Generator {
 
     /// Generates starting from an explicit seed `header`.
     pub fn generate_from<R: Rng>(&self, rng: &mut R, header: &str) -> String {
-        let mut ids = self.bpe.encode(header);
+        let ids = self.bpe.encode(header);
         let mut text = self.bpe.decode(&ids);
         let mut depth = brace_delta(&text);
         let needs_semi = header.contains('=');
+        // The model's node for the tokens so far, advanced one token at a time.
+        let mut at = self.model.locate(&ids);
 
         for _ in 0..self.config.max_tokens {
-            let Some(next) = self.model.sample_top_k(rng, &ids, self.config.top_k) else {
+            let Some(next) = self.model.sample_at(rng, at, self.config.top_k) else {
                 break;
             };
             let tok_text = self.bpe.token_text(next).replace('\u{2581}', " ");
             if tok_text.contains(EOF_MARK) {
                 break;
             }
-            ids.push(next);
+            at = self.model.advance(at, next);
             text.push_str(&tok_text);
             depth += brace_delta(&tok_text);
             if depth <= 0 {

@@ -7,10 +7,17 @@
 //! by token with top-k sampling. The Rust ML stack cannot carry a GPT-2
 //! here, so this crate preserves the *behaviourally relevant* structure:
 //!
-//! * [`Bpe`] — the same Byte-Pair-Encoding tokenization the paper uses,
+//! * [`Bpe`] — the same Byte-Pair-Encoding tokenization the paper uses. Its
+//!   trainer interns symbols and, per merge, recounts only the words holding
+//!   the merged pair, so a merge costs those words plus one scan of the live
+//!   pair counts. It learns exactly the merges and vocabulary of the textbook
+//!   trainer that recounts every pair per merge (checked by proptests).
 //! * [`NgramModel`] — a back-off n-gram model whose **context order** is the
 //!   model-capacity knob (order 12 ≈ GPT-2's long-range dependence; order
-//!   2–3 ≈ the DeepSmith LSTM baseline),
+//!   2–3 ≈ the DeepSmith LSTM baseline). Its trainer walks a context trie
+//!   with suffix links, O(order) per position, and run-length counts one
+//!   sorted buffer of `(context, next)` pairs. Its continuation tables equal
+//!   those of one hash table per context length (checked by proptests).
 //! * [`Generator`] — seed headers, top-k sampling (k = 10), and the paper's
 //!   termination rules (balanced braces, `<EOF>`, 5,000-token cap).
 //!
